@@ -16,7 +16,6 @@ from .geometry import (
     matching_distance,
     quantize,
     similarity,
-    torus_distance,
 )
 from .graphgen import (
     FamilyParams,
@@ -25,7 +24,6 @@ from .graphgen import (
     build_edges,
     generate,
     read_graph,
-    sample_vertices,
     validate_family,
     write_graph,
 )
@@ -51,8 +49,6 @@ from .selector import (
     DetectionSkipped,
     SelectionReport,
     SelectorParams,
-    TemplateNotFound,
-    choose_template,
     default_params,
     detect_edges,
     find_copies,
@@ -66,18 +62,16 @@ from . import bounds
 __all__ = [
     "CollisionError", "Lattice", "PatternTemplate", "Torus", "convex_hull",
     "is_contiguous", "matching_distance", "quantize", "similarity",
-    "torus_distance",
     "FamilyParams", "GeoGraph", "PlantSpec", "build_edges", "generate",
-    "read_graph", "sample_vertices", "validate_family", "write_graph",
+    "read_graph", "validate_family", "write_graph",
     "BlockIndex", "CouplingTooLarge", "NotPositiveDefinite", "PrecisionModel",
     "SampleMatrix", "assemble_precision", "cdp_check", "graph_distance",
     "hellinger", "local_precision_estimate", "read_samples",
     "schur_conditional_precision", "stationarity_gamma", "sym_kl",
     "write_samples",
     "CopySet", "DetectionSkipped", "SelectionReport", "SelectorParams",
-    "TemplateNotFound", "choose_template", "default_params", "detect_edges",
-    "find_copies", "greedy_separated", "pooled_scm", "run_selection",
-    "zero_one_loss",
+    "default_params", "detect_edges", "find_copies", "greedy_separated",
+    "pooled_scm", "run_selection", "zero_one_loss",
     "bounds",
 ]
 

@@ -47,11 +47,6 @@ def family_log_size_nats(eta: float, beta: float, d: int, p: int) -> float:
     return 0.5 * d * p * math.log(eta * beta * beta / d)
 
 
-def family_log_size(eta: float, beta: float, d: int, p: int) -> float:
-    """Same bound in bits: (d*p/2) * log2(eta*beta^2/d)."""
-    return family_log_size_nats(eta, beta, d, p) / math.log(2.0)
-
-
 def sym_kl_family_bound(p: int, d: int, theta: float) -> float:
     """Uniform bound on the pairwise symmetrized KL divergence over the
     family: p*d*(theta/(1-d*theta))^2."""

@@ -7,7 +7,6 @@ sweep emitting runs.json and summary.csv).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -87,7 +86,9 @@ def _cmd_bounds(args) -> int:
     for key, val in rows:
         print(f"  {key:8s} = {val}")
     nmin = bounds_mod.fano_lower_bound(args.eta, args.beta, args.d, args.theta)
-    bits = bounds_mod.family_log_size(args.eta, args.beta, args.d, args.p)
+    bits = bounds_mod.family_log_size_nats(
+        args.eta, args.beta, args.d, args.p
+    ) / math.log(2.0)
     klb = bounds_mod.sym_kl_family_bound(args.p, args.d, args.theta)
     print("bounds:")
     print(f"  n_min (samples)        = {nmin:.6g}  (ceil: {math.ceil(nmin)})")

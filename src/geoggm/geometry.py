@@ -60,11 +60,6 @@ class Torus:
         return float(out) if out.ndim == 0 else out
 
 
-def torus_distance(a, b, torus: Torus):
-    """Minimum over wraparound images of the Euclidean distance."""
-    return torus.distance(a, b)
-
-
 def _as_points(x, name: str) -> np.ndarray:
     P = np.asarray(x, dtype=float)
     if P.ndim != 2 or P.shape[1] != 2:
@@ -324,27 +319,19 @@ class PatternTemplate:
 
 @dataclass
 class Lattice:
-    """Regular square lattice of pitch `eps` covering the torus.
+    """Regular m x m square lattice of pitch `eps` covering the torus.
 
-    `L` counts nodes per side including both seam rows (side/eps + 1, the
-    planar convention); on the torus the seam coincides with row/column 0,
-    so `occupancy` and the node maps live on the periodic core of
-    `period = L - 1` nodes per side.
+    Node (i, j) sits at (i * eps, j * eps); the seam coincides with row and
+    column 0.  Two index arrays say which vertex sits where: `nodes[v]` is
+    the (row, col) node of vertex v (a (p, 2) int array) and `grid[i, j]`
+    is the vertex on node (i, j), or -1 where the node is empty.
     """
 
     eps: float
-    L: int
-    occupancy: np.ndarray
-    node_of_vertex: dict[int, tuple[int, int]]
-    vertex_of_node: dict[tuple[int, int], int]
+    m: int
+    nodes: np.ndarray
+    grid: np.ndarray
     torus: Torus
-
-    @property
-    def period(self) -> int:
-        return self.L - 1
-
-    def node_position(self, node) -> np.ndarray:
-        return np.array([node[0] * self.eps, node[1] * self.eps])
 
 
 def quantize(graph, eps: float) -> Lattice:
@@ -352,7 +339,10 @@ def quantize(graph, eps: float) -> Lattice:
 
     The torus side must be an integer multiple of `eps`.  Displacements are
     at most eps/sqrt(2).  Ties on cell midlines round toward the lower
-    node index.  Raises CollisionError if two vertices land on one node.
+    node index.  Returns the lattice with both index arrays filled.  Raises
+    CollisionError if two vertices land on one node: `vertex_b` is the
+    lowest vertex landing on an occupied node and `vertex_a` the lowest
+    vertex on that node.
     """
     torus = graph.torus
     s = torus.s
@@ -369,21 +359,12 @@ def quantize(graph, eps: float) -> Lattice:
     bound = eps / math.sqrt(2.0) + 1e-12 * s
     if (disp > bound).any():
         raise AssertionError("quantization displacement exceeded eps/sqrt(2)")
-    node_of_vertex: dict[int, tuple[int, int]] = {}
-    vertex_of_node: dict[tuple[int, int], int] = {}
-    occupancy = np.zeros((m, m), dtype=bool)
-    for v, (i, j) in enumerate(map(tuple, idx)):
-        key = (int(i), int(j))
-        if key in vertex_of_node:
-            raise CollisionError(vertex_of_node[key], v, key)
-        vertex_of_node[key] = v
-        node_of_vertex[v] = key
-        occupancy[key] = True
-    return Lattice(
-        eps=eps,
-        L=m + 1,
-        occupancy=occupancy,
-        node_of_vertex=node_of_vertex,
-        vertex_of_node=vertex_of_node,
-        torus=torus,
-    )
+    vertices = np.arange(len(idx), dtype=np.int32)
+    grid = np.full((m, m), len(idx), dtype=np.int32)
+    np.minimum.at(grid, tuple(idx.T), vertices)  # lowest vertex per node
+    clash = np.nonzero(grid[tuple(idx.T)] != vertices)[0]
+    if len(clash):
+        v = int(clash[0])
+        raise CollisionError(int(grid[tuple(idx[v])]), v, tuple(idx[v].tolist()))
+    grid[grid == len(idx)] = -1
+    return Lattice(eps=eps, m=m, nodes=idx, grid=grid, torus=torus)

@@ -187,20 +187,7 @@ def local_precision_estimate(theta_F: np.ndarray, block: BlockIndex) -> np.ndarr
     T = np.asarray(theta_F, dtype=float)
     if T.shape[0] != len(block.F):
         raise ValueError("covariance dimension disagrees with block.F")
-    hpos = block.h_positions()
-    mask = np.ones(len(block.F), dtype=bool)
-    mask[hpos] = False
-    rpos = np.nonzero(mask)[0]
-    TH = T[np.ix_(hpos, hpos)]
-    if len(rpos) == 0:
-        return TH.copy()
-    THR = T[np.ix_(hpos, rpos)]
-    TR = T[np.ix_(rpos, rpos)]
-    try:
-        c = sla.cho_factor(TR)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("complement covariance block is singular") from exc
-    return TH - THR @ sla.cho_solve(c, THR.T)
+    return schur_conditional_precision(T, block.h_positions())
 
 
 def _chol_logdet(A: np.ndarray, what: str) -> float:

@@ -137,12 +137,6 @@ class GeoGraph:
         return self.adjacency.nnz // 2
 
 
-def sample_vertices(params: FamilyParams) -> np.ndarray:
-    """p i.i.d. uniform points on [0, s)^2, deterministic in the seed."""
-    rng = np.random.default_rng(params.seed)
-    return rng.uniform(0.0, params.s, size=(params.p, 2))
-
-
 def _candidate_pairs(points: np.ndarray, beta: float, torus: Torus):
     """All vertex pairs within toroidal distance beta, with distances."""
     s = torus.s
@@ -333,7 +327,11 @@ def write_graph(g: GeoGraph, path) -> None:
 
 
 def read_graph(path) -> GeoGraph:
-    """Inverse of write_graph.  Planting bookkeeping is not serialized."""
+    """Inverse of write_graph.  Planting bookkeeping is not serialized.
+
+    Raises ValueError unless every vertex 0..p-1 has exactly one vertex
+    line and every edge joins two distinct in-range vertices once.
+    """
     with open(path) as fh:
         header = fh.readline().split()
         p, _s, eta, beta, d, theta, seed = header
@@ -342,19 +340,36 @@ def read_graph(path) -> GeoGraph:
             theta=float(theta), seed=int(seed),
         )
         points = np.zeros((params.p, 2))
+        listed = np.zeros(params.p, dtype=int)
         rows, cols = [], []
+        seen_edges: set[tuple[int, int]] = set()
         for line in fh:
             parts = line.split()
             if not parts:
                 continue
             if parts[0] == "v":
-                points[int(parts[1])] = (float(parts[2]), float(parts[3]))
+                v = int(parts[1])
+                if not 0 <= v < params.p:
+                    raise ValueError(f"vertex id {v} outside [0, {params.p})")
+                listed[v] += 1
+                points[v] = (float(parts[2]), float(parts[3]))
             elif parts[0] == "e":
                 u, v = int(parts[1]), int(parts[2])
+                if not (0 <= u < params.p and 0 <= v < params.p):
+                    raise ValueError(f"edge ({u}, {v}) outside [0, {params.p})")
+                if u == v:
+                    raise ValueError(f"self-loop on vertex {u}")
+                key = (min(u, v), max(u, v))
+                if key in seen_edges:
+                    raise ValueError(f"edge {key} listed twice")
+                seen_edges.add(key)
                 rows += [u, v]
                 cols += [v, u]
             else:
                 raise ValueError(f"unrecognized line: {line!r}")
+        if (listed != 1).any():
+            v = int(np.argmax(listed != 1))
+            raise ValueError(f"vertex {v} has {listed[v]} vertex lines, not 1")
     adjacency = csr_matrix(
         (np.ones(len(rows), dtype=np.int8), (rows, cols)),
         shape=(params.p, params.p),

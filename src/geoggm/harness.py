@@ -14,8 +14,7 @@ import json
 import math
 import os
 import struct
-import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 

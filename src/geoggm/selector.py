@@ -2,7 +2,7 @@
 
 The pipeline quantizes the vertex set onto a lattice, repeatedly picks a
 small window holding a fixed number of vertices, locates all rotated
-lattice copies of the window's occupancy pattern, pools sample covariances
+lattice copies of the window's occupied-node pattern, pools sample covariances
 over a well-separated subset of the copies, and reads edges of the window
 core off the inverted local Schur complement, transporting the decisions
 to every copy.  Undecidable vertices are reported, never guessed.
@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
@@ -27,11 +26,14 @@ from .geometry import (
     quantize,
     unwrap_chart,
 )
-from .gmrf import PrecisionModel, SampleMatrix, assemble_precision, graph_distance
-
-
-class TemplateNotFound(RuntimeError):
-    """No qualifying lattice square within the size cap."""
+from .gmrf import (
+    NotPositiveDefinite,
+    PrecisionModel,
+    SampleMatrix,
+    assemble_precision,
+    graph_distance,
+    schur_conditional_precision,
+)
 
 
 class DetectionSkipped(RuntimeError):
@@ -124,12 +126,14 @@ def find_copies(lattice: Lattice, template: PatternTemplate, graph,
     occurrence vertex set; when `anchor` names the template's own
     placement, that occurrence is moved to the front.
     """
-    occ = lattice.occupancy
-    m = lattice.period
+    grid = lattice.grid
+    occ = grid >= 0
+    m = lattice.m
     if template.k > m:
-        raise ValueError("pattern exceeds the lattice period")
+        raise ValueError("pattern exceeds the lattice size")
     seen_patterns: set[frozenset] = set()
-    raw: list[Occurrence] = []
+    seen_sets: set[frozenset] = set()
+    matches: list[Occurrence] = []
     for q in range(4):
         rot = template.rotated(q)
         key = frozenset(rot.offsets)
@@ -141,24 +145,19 @@ def find_copies(lattice: Lattice, template: PatternTemplate, graph,
             present &= np.roll(occ, (-a, -b), axis=(0, 1))
         for a, b in rot.interior_cells():
             present &= ~np.roll(occ, (-a, -b), axis=(0, 1))
-        for i, j in zip(*np.nonzero(present)):
-            ids = tuple(
-                lattice.vertex_of_node[((i + a) % m, (j + b) % m)]
-                for a, b in rot.offsets
-            )
-            raw.append(Occurrence(
-                position=(int(i), int(j)),
+        I, J = np.nonzero(present)
+        rows, cols = np.array(rot.offsets).T
+        slot_ids = grid[(I[:, None] + rows) % m, (J[:, None] + cols) % m].tolist()
+        for i, j, ids in zip(I.tolist(), J.tolist(), map(tuple, slot_ids)):
+            if frozenset(ids) in seen_sets:
+                continue
+            seen_sets.add(frozenset(ids))
+            matches.append(Occurrence(
+                position=(i, j),
                 rotation=q,
                 vertex_ids=ids,
                 center=_occurrence_center(ids, graph.points, lattice.torus),
             ))
-    matches: list[Occurrence] = []
-    seen_sets: set[frozenset] = set()
-    for occr in raw:
-        key = frozenset(occr.vertex_ids)
-        if key not in seen_sets:
-            seen_sets.add(key)
-            matches.append(occr)
     if anchor is not None:
         for idx, occr in enumerate(matches):
             if occr.position == tuple(anchor) and occr.rotation == 0:
@@ -220,21 +219,9 @@ def detect_edges(S: np.ndarray, h_slots, theta: float, threshold: float):
     recovered precision matrix for margin diagnostics.  Raises
     DetectionSkipped when the linear algebra is unusable.
     """
-    S = np.asarray(S, dtype=float)
-    hpos = np.asarray(h_slots, dtype=int)
-    mask = np.ones(S.shape[0], dtype=bool)
-    mask[hpos] = False
-    rpos = np.nonzero(mask)[0]
-    SH = S[np.ix_(hpos, hpos)]
     try:
-        if len(rpos):
-            SHR = S[np.ix_(hpos, rpos)]
-            SR = S[np.ix_(rpos, rpos)]
-            core = SH - SHR @ sla.cho_solve(sla.cho_factor(SR), SHR.T)
-        else:
-            core = SH
-        j_hat = np.linalg.inv(core)
-    except np.linalg.LinAlgError as exc:
+        j_hat = np.linalg.inv(schur_conditional_precision(S, h_slots))
+    except (NotPositiveDefinite, np.linalg.LinAlgError) as exc:
         raise DetectionSkipped(str(exc)) from exc
     adj = np.abs(j_hat) >= threshold
     np.fill_diagonal(adj, False)
@@ -254,7 +241,7 @@ class _BoxCounter:
 
     def counts(self, k: int) -> np.ndarray:
         if k > self.m:
-            raise ValueError("window exceeds the lattice period")
+            raise ValueError("window exceeds the lattice size")
         i = np.arange(self.m)
         P = self.prefix
         return (
@@ -265,51 +252,6 @@ class _BoxCounter:
         )
 
 
-def _box_counts(grid: np.ndarray, k: int) -> np.ndarray:
-    """Count of true cells in every k x k toroidal window (anchor layout)."""
-    return _BoxCounter(grid).counts(k)
-
-
-class _WindowIndex:
-    """Per-row node buckets for fast vertex lookup in lattice windows."""
-
-    def __init__(self, lattice: Lattice):
-        self.m = lattice.period
-        self.rows: list[np.ndarray] = [
-            np.empty(0, dtype=int) for _ in range(self.m)
-        ]
-        self.row_vertices: list[np.ndarray] = [
-            np.empty(0, dtype=int) for _ in range(self.m)
-        ]
-        per_row: dict[int, list[tuple[int, int]]] = {}
-        for v, (i, j) in lattice.node_of_vertex.items():
-            per_row.setdefault(i, []).append((j, v))
-        for i, pairs in per_row.items():
-            pairs.sort()
-            self.rows[i] = np.array([j for j, _ in pairs], dtype=int)
-            self.row_vertices[i] = np.array([v for _, v in pairs], dtype=int)
-
-    def vertices_in(self, i0: int, j0: int, k: int) -> list[int]:
-        out: list[int] = []
-        m = self.m
-        for di in range(k):
-            i = (i0 + di) % m
-            cols, verts = self.rows[i], self.row_vertices[i]
-            if len(cols) == 0:
-                continue
-            j_end = j0 + k
-            if j_end <= m:
-                lo = np.searchsorted(cols, j0)
-                hi = np.searchsorted(cols, j_end)
-                out.extend(verts[lo:hi])
-            else:
-                lo = np.searchsorted(cols, j0)
-                out.extend(verts[lo:])
-                hi = np.searchsorted(cols, j_end - m)
-                out.extend(verts[:hi])
-        return out
-
-
 def default_k_cap(r: int, eta: float, eps: float, m: int) -> int:
     """Window-size sanity cap: about (1/eps) sqrt(r/eta) log r nodes."""
     cap = math.ceil(math.sqrt(r / eta) * math.log(max(r, 3)) / eps)
@@ -317,22 +259,19 @@ def default_k_cap(r: int, eta: float, eps: float, m: int) -> int:
 
 
 def _candidate_squares(lattice: Lattice, r: int, target: np.ndarray,
-                       k_cap: int, index: _WindowIndex,
-                       occ_boxes: "_BoxCounter | None" = None):
+                       k_cap: int):
     """Yield (i, j, k, ids) squares in row-major scan order.
 
     For each anchor, k grows until the window first encloses at least r
     vertices; the anchor qualifies when that count is exactly r and the
     window holds at least one target vertex.  Windows are automatically
     contiguous: every vertex inside the square belongs to the window set.
+    `ids` are the window's vertices in increasing order.
     """
-    m = lattice.period
-    tgt_grid = np.zeros((m, m), dtype=bool)
-    for v in np.nonzero(target)[0]:
-        tgt_grid[lattice.node_of_vertex[v]] = True
-    if occ_boxes is None:
-        occ_boxes = _BoxCounter(lattice.occupancy)
-    tgt_boxes = _BoxCounter(tgt_grid)
+    m = lattice.m
+    occupied = lattice.grid >= 0
+    occ_boxes = _BoxCounter(occupied)
+    tgt_boxes = _BoxCounter(occupied & target[lattice.grid])
     reached = np.zeros((m, m), dtype=bool)
     candidates: list[tuple[int, int, int]] = []
     for k in range(1, min(k_cap, m) + 1):
@@ -340,35 +279,16 @@ def _candidate_squares(lattice: Lattice, r: int, target: np.ndarray,
         newly = (cnt >= r) & ~reached
         reached |= newly
         good = newly & (cnt == r) & (tgt_boxes.counts(k) > 0)
-        for i, j in zip(*np.nonzero(good)):
-            candidates.append((int(i), int(j), k))
+        candidates += [(i, j, k) for i, j in np.argwhere(good).tolist()]
         if reached.all():
             break
     candidates.sort()
     for i, j, k in candidates:
-        ids = index.vertices_in(i, j, k)
-        if len(ids) == r:
+        span = np.arange(k)
+        window = lattice.grid[np.ix_((i + span) % m, (j + span) % m)]
+        ids = window[window >= 0].tolist()
+        if len(ids) == r:  # box counts run low off row/column 0: re-check
             yield i, j, k, sorted(ids)
-
-
-def choose_template(lattice: Lattice, r: int, detected, graph,
-                    k_cap: int | None = None):
-    """First lattice square in scan order holding exactly r vertices,
-    at least one of them not yet detected.
-
-    Returns ((i, j, k), template, vertex ids).  The template is the
-    window's occupancy pattern cropped to its bounding square, slots
-    ordered to follow the sorted vertex ids.  Raises TemplateNotFound
-    when no square qualifies within the cap.
-    """
-    index = _WindowIndex(lattice)
-    target = ~np.asarray(detected, dtype=bool)
-    if k_cap is None:
-        k_cap = default_k_cap(r, graph.params.eta, lattice.eps, lattice.period)
-    for i, j, k, ids in _candidate_squares(lattice, r, target, k_cap, index):
-        template, _ = _window_template(lattice, ids, i, j)
-        return (i, j, k), template, tuple(ids)
-    raise TemplateNotFound(f"no window of exactly {r} vertices within cap {k_cap}")
 
 
 def _window_template(lattice: Lattice, ids, i0: int, j0: int):
@@ -377,41 +297,27 @@ def _window_template(lattice: Lattice, ids, i0: int, j0: int):
     Slot order follows `ids`.  Returns the template and its lattice anchor
     (the position find_copies reports for the original occurrence).
     """
-    m = lattice.period
-    rel = [
-        (
-            (lattice.node_of_vertex[v][0] - i0) % m,
-            (lattice.node_of_vertex[v][1] - j0) % m,
-        )
-        for v in ids
-    ]
-    r0 = min(a for a, _ in rel)
-    c0 = min(b for _, b in rel)
-    offsets = tuple((a - r0, b - c0) for a, b in rel)
-    template = PatternTemplate.from_offsets(offsets)
+    m = lattice.m
+    rel = (lattice.nodes[list(ids)] - (i0, j0)) % m
+    r0, c0 = rel.min(axis=0).tolist()
+    template = PatternTemplate.from_offsets(rel.tolist())
     anchor = ((i0 + r0) % m, (j0 + c0) % m)
     return template, anchor
 
 
-def _middle_slots(lattice: Lattice, ids, square,
-                  node_of_vertex) -> tuple[list[int], int]:
+def _middle_slots(lattice: Lattice, ids, square) -> list[int]:
     """Slots of window vertices inside the middle half-square of the
-    chosen window, growing the middle one ring at a time if it is empty.
-    Returns (slot list, margin in rings actually achieved)."""
+    chosen window, growing the middle one ring at a time if it is empty."""
     i0, j0, k = square
-    m = lattice.period
+    m = lattice.m
+    rel = lattice.nodes[list(ids)] - (i0, j0)
     k_h = max(1, k // 2)
     while True:
         margin = (k - k_h) // 2
-        lo_i, lo_j = i0 + margin, j0 + margin
-        slots = []
-        for t, v in enumerate(ids):
-            a = (node_of_vertex[v][0] - lo_i) % m
-            b = (node_of_vertex[v][1] - lo_j) % m
-            if a < k_h and b < k_h:
-                slots.append(t)
+        inside = ((rel - margin) % m < k_h).all(axis=1)
+        slots = np.nonzero(inside)[0].tolist()
         if slots or k_h >= k:
-            return slots, margin
+            return slots
         k_h = min(k, k_h + 2)
 
 
@@ -540,12 +446,10 @@ def run_selection(
 
     lattice = _quantize_with_backoff(graph, params.eps)
     eps_used = lattice.eps
-    index = _WindowIndex(lattice)
     k_cap = params.k_cap or default_k_cap(
-        params.r, graph.params.eta, eps_used, lattice.period
+        params.r, graph.params.eta, eps_used, lattice.m
     )
     tree = cKDTree(np.mod(graph.points, graph.torus.s), boxsize=graph.torus.s)
-    node_of_vertex = lattice.node_of_vertex
 
     detected = np.zeros(p, dtype=bool)
     undecided = np.zeros(p, dtype=bool)
@@ -560,15 +464,12 @@ def run_selection(
     def markable(v: int, img_set: set) -> bool:
         return all(u in img_set for u in ball_ids(v))
 
-    occ_boxes = _BoxCounter(lattice.occupancy)  # occupancy never changes
     while True:
         target = ~(detected | undecided)
         if not target.any():
             break
         progressed = False
-        for i, j, k, ids in _candidate_squares(
-            lattice, params.r, target, k_cap, index, occ_boxes=occ_boxes
-        ):
+        for i, j, k, ids in _candidate_squares(lattice, params.r, target, k_cap):
             template, anchor = _window_template(lattice, ids, i, j)
             outside = np.ones(p, dtype=bool)
             outside[list(ids)] = False
@@ -580,13 +481,12 @@ def run_selection(
                 h_slots = list(range(len(ids)))
                 zeta = math.inf
             else:
-                h_slots, _ = _middle_slots(
-                    lattice, ids, (i, j, k), node_of_vertex
-                )
+                h_slots = _middle_slots(lattice, ids, (i, j, k))
                 if not h_slots:
                     continue
-                h_ids = [ids[t] for t in h_slots]
-                dist = graph_distance(graph.adjacency, h_ids, outside_ids)
+                dist = graph_distance(
+                    graph.adjacency, [ids[t] for t in h_slots], outside_ids
+                )
                 zeta = dist - 2 if math.isfinite(dist) else math.inf
             h_ids = [ids[t] for t in h_slots]
             # cheap viability screen: the window's own core must decide

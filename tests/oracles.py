@@ -221,6 +221,27 @@ def raw_rotation_position_matches(occupancy, cells):
     return count
 
 
+def first_node_collision(nodes):
+    """Vertex-order scan for the first vertex landing on an occupied node:
+    (that node's first vertex, the vertex, the node), or None."""
+    owner = {}
+    for v, (i, j) in enumerate(nodes):
+        key = (int(i), int(j))
+        if key in owner:
+            return owner[key], v, key
+        owner[key] = v
+    return None
+
+
+def window_vertices_scan(nodes, m, i, j, k):
+    """Sorted ids of the vertices whose node lies in the k x k toroidal
+    window anchored at (i, j)."""
+    return sorted(
+        v for v, (a, b) in enumerate(nodes)
+        if (a - i) % m < k and (b - j) % m < k
+    )
+
+
 def hellinger_quadrature_1d(var1, var2):
     """1-D Hellinger distance by numerical quadrature of the defining
     integral."""

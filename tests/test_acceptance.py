@@ -403,7 +403,7 @@ def test_criterion_11_pattern_search_exactness():
         copies = sel.find_copies(lattice, template, cloud)
         got = {frozenset(occ_.vertex_ids) for occ_ in copies.matches}
         want = {
-            frozenset(lattice.vertex_of_node[nd] for nd in nodes_)
+            frozenset(lattice.grid[nd] for nd in nodes_)
             for *_, nodes_ in oracles.brute_copy_scan(occ.tolist(), cells)
         }
         if got != want:

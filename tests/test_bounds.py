@@ -40,20 +40,24 @@ def test_fano_lower_bound_delta():
     assert half == pytest.approx(0.5 * full, rel=1e-12)
 
 
+def _family_bits(eta, beta, d, p):
+    return bounds.family_log_size_nats(eta, beta, d, p) / math.log(2.0)
+
+
 def test_family_log_size_examples():
     # eta * beta^2 = 4d: ratio 4, log2 = 2, so (d p / 2) * 2 = d p
-    assert bounds.family_log_size(1.0, math.sqrt(4 * 2), 2, 100) == pytest.approx(200.0)
-    assert bounds.family_log_size(1.0, math.sqrt(4 * 3), 3, 50) == pytest.approx(150.0)
+    assert _family_bits(1.0, math.sqrt(4 * 2), 2, 100) == pytest.approx(200.0)
+    assert _family_bits(1.0, math.sqrt(4 * 3), 3, 50) == pytest.approx(150.0)
 
 
 def test_family_log_size_boundary():
     with pytest.raises(ValueError):
-        bounds.family_log_size(1.0, 2.0, 4, 100)  # eta beta^2 = d
+        _family_bits(1.0, 2.0, 4, 100)  # eta beta^2 = d
 
 
 def test_family_log_size_linear_in_p():
-    a = bounds.family_log_size(1.0, 4.0, 3, 100)
-    b = bounds.family_log_size(1.0, 4.0, 3, 200)
+    a = _family_bits(1.0, 4.0, 3, 100)
+    b = _family_bits(1.0, 4.0, 3, 200)
     assert b == pytest.approx(2 * a, rel=1e-12)
 
 

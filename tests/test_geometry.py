@@ -18,17 +18,17 @@ class PointCloud:
 
 def test_torus_distance_wraparound():
     t = geo.Torus(10.0)
-    assert geo.torus_distance((1, 1), (9, 9), t) == pytest.approx(2 * math.sqrt(2))
+    assert t.distance((1, 1), (9, 9)) == pytest.approx(2 * math.sqrt(2))
 
 
 def test_torus_distance_identity():
     t = geo.Torus(10.0)
-    assert geo.torus_distance((3.2, 7.7), (3.2, 7.7), t) == 0.0
+    assert t.distance((3.2, 7.7), (3.2, 7.7)) == 0.0
 
 
 def test_torus_distance_antipodal():
     t = geo.Torus(10.0)
-    assert geo.torus_distance((0, 0), (5, 0), t) == pytest.approx(5.0)
+    assert t.distance((0, 0), (5, 0)) == pytest.approx(5.0)
 
 
 def test_torus_distance_symmetry_and_triangle():
@@ -36,9 +36,9 @@ def test_torus_distance_symmetry_and_triangle():
     rng = np.random.default_rng(0)
     for _ in range(200):
         a, b, c = rng.uniform(0, 7, (3, 2))
-        dab = geo.torus_distance(a, b, t)
-        assert dab == pytest.approx(geo.torus_distance(b, a, t))
-        assert dab <= geo.torus_distance(a, c, t) + geo.torus_distance(c, b, t) + 1e-12
+        dab = t.distance(a, b)
+        assert dab == pytest.approx(t.distance(b, a))
+        assert dab <= t.distance(a, c) + t.distance(c, b) + 1e-12
 
 
 def test_matching_distance_simple():
@@ -194,10 +194,8 @@ def test_is_contiguous_wraparound_chart():
 def test_quantize_example():
     g = PointCloud([(0.7, 0.2), (3.0, 3.0)], 10.0)
     lat = geo.quantize(g, 0.5)
-    assert lat.node_of_vertex[0] == (1, 0)
-    disp = geo.torus_distance(
-        (0.7, 0.2), lat.node_position((1, 0)), g.torus
-    )
+    assert lat.nodes[0].tolist() == [1, 0]
+    disp = g.torus.distance((0.7, 0.2), lat.nodes[0] * lat.eps)
     assert disp == pytest.approx(math.sqrt(0.08))
     assert disp <= 0.5 / math.sqrt(2)
 
@@ -205,8 +203,8 @@ def test_quantize_example():
 def test_quantize_on_node_zero_displacement():
     g = PointCloud([(1.5, 2.0)], 10.0)
     lat = geo.quantize(g, 0.5)
-    assert lat.node_of_vertex[0] == (3, 4)
-    assert geo.torus_distance((1.5, 2.0), lat.node_position((3, 4)), g.torus) == 0.0
+    assert lat.nodes[0].tolist() == [3, 4]
+    assert g.torus.distance((1.5, 2.0), lat.nodes[0] * lat.eps) == 0.0
 
 
 def test_quantize_displacement_bound_exhaustive():
@@ -218,8 +216,7 @@ def test_quantize_displacement_bound_exhaustive():
     lat = geo.quantize(g, eps)
     bound = eps / math.sqrt(2) + 1e-12
     for v in range(1000):
-        node = lat.node_of_vertex[v]
-        assert geo.torus_distance(pts[v], lat.node_position(node), g.torus) <= bound
+        assert g.torus.distance(pts[v], lat.nodes[v] * lat.eps) <= bound
 
 
 def test_quantize_collision_raises_with_pair():
@@ -227,6 +224,41 @@ def test_quantize_collision_raises_with_pair():
     with pytest.raises(geo.CollisionError) as exc:
         geo.quantize(g, 0.5)
     assert {exc.value.vertex_a, exc.value.vertex_b} == {0, 1}
+
+
+def test_quantize_collision_reports_first_clash():
+    # vertices 0, 3 and 4 share node (5, 5), vertices 1 and 2 share node
+    # (1, 1): vertex 2 is the first to land on an occupied node
+    g = PointCloud(
+        [(2.5, 2.5), (0.5, 0.5), (0.55, 0.5), (2.45, 2.5), (2.5, 2.6)], 10.0
+    )
+    with pytest.raises(geo.CollisionError) as exc:
+        geo.quantize(g, 0.5)
+    assert (exc.value.vertex_a, exc.value.vertex_b, exc.value.node) == (
+        1, 2, (1, 1)
+    )
+
+
+def test_quantize_collision_matches_vertex_order_scan():
+    rng = np.random.default_rng(8)
+    m, eps = 8, 0.5
+    clashes = 0
+    for trial in range(30):
+        nodes = rng.integers(0, m, size=(int(rng.integers(3, 20)), 2))
+        jitter = rng.uniform(-0.2, 0.2, size=nodes.shape)
+        g = PointCloud(nodes * eps + jitter, m * eps)
+        want = oracles.first_node_collision(nodes.tolist())
+        if want is None:
+            lat = geo.quantize(g, eps)
+            assert np.array_equal(lat.nodes, nodes)
+            assert (lat.grid[nodes[:, 0], nodes[:, 1]] == np.arange(len(nodes))).all()
+            assert (lat.grid >= 0).sum() == len(nodes)
+            continue
+        clashes += 1
+        with pytest.raises(geo.CollisionError) as exc:
+            geo.quantize(g, eps)
+        assert (exc.value.vertex_a, exc.value.vertex_b, exc.value.node) == want
+    assert clashes >= 10
 
 
 def test_quantize_requires_divisible_side():
@@ -239,14 +271,14 @@ def test_quantize_tie_rounds_down():
     # 0.25/0.5 = 0.5 exactly: ties go to the lower node index
     g = PointCloud([(0.25, 0.75)], 10.0)
     lat = geo.quantize(g, 0.5)
-    assert lat.node_of_vertex[0] == (0, 1)
+    assert lat.nodes[0].tolist() == [0, 1]
 
 
 def test_quantize_seam_wraps_to_node_zero():
     g = PointCloud([(9.9, 0.2)], 10.0)
     lat = geo.quantize(g, 0.5)
-    assert lat.node_of_vertex[0] == (0, 0)
-    assert lat.L == 21 and lat.period == 20
+    assert lat.nodes[0].tolist() == [0, 0]
+    assert lat.m == 20 and lat.grid.shape == (20, 20)
 
 
 def test_pattern_template_normalization():

@@ -30,21 +30,22 @@ def test_family_params_invariants():
 
 def test_sample_vertices_range_and_determinism():
     prm = small_params()
-    pts = gg.sample_vertices(prm)
+    pts = gg.generate(prm).points
     assert pts.shape == (100, 2)
     assert pts.min() >= 0 and pts.max() < 10.0
-    assert np.array_equal(pts, gg.sample_vertices(prm))
+    assert np.array_equal(pts, gg.generate(prm).points)
 
 
 def test_sample_vertices_small_square():
-    prm = gg.FamilyParams(p=4, eta=4.0, d=1, beta=0.6, theta=0.1, seed=3)
-    pts = gg.sample_vertices(prm)
-    assert pts.max() < 1.0
+    # smallest p at this eta whose torus can hold beta (beta < s/2)
+    prm = gg.FamilyParams(p=9, eta=4.0, d=1, beta=0.6, theta=0.1, seed=3)
+    pts = gg.generate(prm).points
+    assert pts.min() >= 0 and pts.max() < 1.5
 
 
 def test_sample_vertices_chi_square_uniformity():
     prm = gg.FamilyParams(p=10000, eta=1.0, d=3, beta=2.0, theta=0.1, seed=0)
-    pts = gg.sample_vertices(prm)
+    pts = gg.generate(prm).points
     bins = np.floor(pts / (prm.s / 10)).astype(int)
     cells = bins[:, 0] * 10 + bins[:, 1]
     counts = np.bincount(cells, minlength=100)
@@ -184,6 +185,26 @@ def test_graph_io_round_trip(tmp_path):
     assert np.array_equal(g.points, g2.points)
     assert g.edges() == g2.edges()
     assert g2.params == g.params
+
+
+_VERTICES = ["v 0 0.1 0.2", "v 1 0.5 0.6", "v 2 1.0 1.1"]
+
+
+@pytest.mark.parametrize("body, message", [
+    (["v 0 0.1 0.2", "v 1 0.5 0.6", "v -1 1.0 1.1"], "outside"),
+    (_VERTICES + ["v 3 1.2 1.3"], "outside"),
+    (["v 0 0.1 0.2", "v 2 1.0 1.1"], "0 vertex lines"),
+    (_VERTICES + ["v 1 0.7 0.8"], "2 vertex lines"),
+    (_VERTICES + ["e 0 3"], "outside"),
+    (_VERTICES + ["e 0 0"], "self-loop"),
+    (_VERTICES + ["e 0 1", "e 1 0"], "listed twice"),
+], ids=["negative_vertex", "vertex_id_p", "missing_vertex", "duplicate_vertex",
+        "edge_out_of_range", "self_loop", "duplicate_edge"])
+def test_read_graph_rejects_malformed(tmp_path, body, message):
+    path = tmp_path / "graph.txt"
+    path.write_text("\n".join(["3 1.7320508075688772 1 2 1 0.1 0"] + body) + "\n")
+    with pytest.raises(ValueError, match=message):
+        gg.read_graph(path)
 
 
 def test_generate_deterministic():

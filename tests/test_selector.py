@@ -102,9 +102,9 @@ def test_find_copies_matches_brute_force_scan():
         tm = PatternTemplate.from_offsets(cells)
         copies = sel.find_copies(lat, tm, cloud)
         got = {frozenset(occ.vertex_ids) for occ in copies.matches}
-        oracle = oracles.brute_copy_scan(lat.occupancy, cells)
+        oracle = oracles.brute_copy_scan(lat.grid >= 0, cells)
         want = {
-            frozenset(lat.vertex_of_node[nd] for nd in nodes_)
+            frozenset(lat.grid[nd] for nd in nodes_)
             for *_, nodes_ in oracle
         }
         assert got == want
@@ -294,41 +294,57 @@ def test_zero_one_loss_shape_mismatch():
         sel.zero_one_loss(sp.eye(3), sp.eye(4))
 
 
-def test_choose_template_planted_pattern_first():
+def test_candidate_squares_planted_pattern_first():
     graph, eps, cells = plantcfg.grid_plant_graph(
         p=100, theta=0.11, seed=2, r_t=20, grid=7
     )
     lat = sel._quantize_with_backoff(graph, eps)
-    detected = np.zeros(graph.p, dtype=bool)
-    square, template, ids = sel.choose_template(lat, 20, detected, graph,
-                                                k_cap=18)
+    target = np.ones(graph.p, dtype=bool)
+    i, j, k, ids = next(sel._candidate_squares(lat, 20, target, 18))
+    template, _ = sel._window_template(lat, ids, i, j)
     assert set(template.offsets) == set(
         PatternTemplate.from_offsets(cells).offsets
     )
     assert set(ids) in [set(pl) for pl in graph.plants]
 
 
-def test_choose_template_overlap_with_detected_allowed():
+def test_candidate_squares_overlap_with_detected_allowed():
     graph, eps, cells = plantcfg.grid_plant_graph(
         p=100, theta=0.11, seed=2, r_t=20, grid=7
     )
     lat = sel._quantize_with_backoff(graph, eps)
     detected = np.zeros(graph.p, dtype=bool)
     detected[list(graph.plants[0])[1:]] = True  # all but one vertex known
-    square, template, ids = sel.choose_template(lat, 20, detected, graph,
-                                                k_cap=18)
+    i, j, k, ids = next(sel._candidate_squares(lat, 20, ~detected, 18))
     assert graph.plants[0][0] in ids or any(
         not detected[v] for v in ids
     )
 
 
-def test_choose_template_not_found_on_empty_region():
+def test_candidate_squares_none_on_empty_region():
     nodes = [(0, 0)]
     lat, cloud = _lattice_from_nodes(nodes, 30)
-    cloud.params = type("P", (), {"eta": 0.001})()
-    detected = np.zeros(1, dtype=bool)
-    with pytest.raises(sel.TemplateNotFound):
-        sel.choose_template(lat, 5, detected, cloud, k_cap=6)
+    target = np.ones(1, dtype=bool)
+    assert list(sel._candidate_squares(lat, 5, target, 6)) == []
+
+
+def test_candidate_squares_window_contents_match_brute_scan():
+    rng = np.random.default_rng(5)
+    wrapped = 0
+    for trial in range(8):
+        m = int(rng.integers(8, 20))
+        occupancy = rng.random((m, m)) < 0.2
+        nodes = [tuple(int(x) for x in nd) for nd in np.argwhere(occupancy)]
+        order = rng.permutation(len(nodes))  # vertex ids not in node order
+        nodes = [nodes[t] for t in order]
+        lat, _ = _lattice_from_nodes(nodes, m)
+        target = rng.random(len(nodes)) < 0.7
+        r = int(rng.integers(2, 5))
+        for i, j, k, ids in sel._candidate_squares(lat, r, target, m):
+            assert ids == oracles.window_vertices_scan(nodes, m, i, j, k)
+            assert len(ids) == r and target[ids].any()
+            wrapped += (i + k > m) or (j + k > m)
+    assert wrapped > 0  # some windows straddle the seam
 
 
 def _exact_run(graph, eps, r_t, theta, **overrides):
