@@ -83,14 +83,6 @@ def mckay_count(k: int, d: int) -> float:
     )
 
 
-def render_log_count(log_value: float) -> str:
-    """Human-readable decimal rendering of a natural-log magnitude."""
-    log10 = log_value / math.log(10.0)
-    exponent = math.floor(log10)
-    mantissa = 10.0 ** (log10 - exponent)
-    return f"{mantissa:.4f}e+{exponent:d}" if exponent >= 0 else f"{mantissa:.4f}e{exponent:d}"
-
-
 def expected_copies_continuous(r: int, eps: float, eta: float, p: int,
                                l_bar: float) -> float:
     """Expected number of eps-copies of a contiguous r-point pattern whose

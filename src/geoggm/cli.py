@@ -14,7 +14,7 @@ from . import bounds as bounds_mod
 from .graphgen import FamilyParams, generate, read_graph, write_graph
 from .gmrf import assemble_precision, read_samples, write_samples
 from .harness import emit_outputs, read_config, run_experiment
-from .selector import SelectorParams, default_params, run_selection
+from .selector import default_params, run_selection
 
 
 def _add_family_args(sub):
@@ -48,21 +48,12 @@ def _cmd_sample(args) -> int:
 def _cmd_select(args) -> int:
     graph = read_graph(args.graph)
     theta = args.theta if args.theta is not None else graph.params.theta
-    if args.r is not None or args.eps is not None:
-        defaults = default_params(max(graph.p, 16), theta)
-        params = SelectorParams(
-            r=args.r if args.r is not None else defaults.r,
-            eps=args.eps if args.eps is not None else defaults.eps,
-            w=args.w if args.w is not None else defaults.w,
-            theta=theta,
-            detect_threshold=args.threshold,
-            min_zeta=args.min_zeta,
-        )
-    else:
-        params = default_params(max(graph.p, 16), theta)
-        if args.threshold is not None:
-            params.detect_threshold = args.threshold
-        params.min_zeta = args.min_zeta
+    given = {"r": args.r, "eps": args.eps, "w": args.w,
+             "detect_threshold": args.threshold, "min_zeta": args.min_zeta}
+    params = default_params(
+        max(graph.p, 16), theta,
+        **{key: val for key, val in given.items() if val is not None},
+    )
     if args.exact_cov:
         report = run_selection(graph, params, exact_cov=True)
     else:

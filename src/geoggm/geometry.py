@@ -211,15 +211,6 @@ def point_in_hull(point, hull: np.ndarray, tol: float) -> bool:
     return True
 
 
-def unwrap_chart(points: np.ndarray, anchor, torus: Torus) -> np.ndarray:
-    """Coordinates of `points` in the local chart centered at `anchor`.
-
-    Each point is represented by its unique wraparound image with both
-    displacement components in [-s/2, s/2).
-    """
-    return torus.delta(anchor, points)
-
-
 def is_contiguous(subset_ids, graph, tol: float | None = None) -> bool:
     """Whether a vertex subset equals the graph's vertices inside its own hull.
 
@@ -237,7 +228,7 @@ def is_contiguous(subset_ids, graph, tol: float | None = None) -> bool:
     torus = graph.torus
     if tol is None:
         tol = HULL_TOL_FACTOR * torus.s
-    rel = unwrap_chart(pts, pts[ids[0]], torus)
+    rel = torus.delta(pts[ids[0]], pts)
     sub = rel[ids]
     span = sub.max(axis=0) - sub.min(axis=0)
     if (span > 0.5 * torus.s).any():
@@ -332,6 +323,12 @@ class Lattice:
     nodes: np.ndarray
     grid: np.ndarray
     torus: Torus
+
+
+def snap_eps(eps: float, s: float) -> float:
+    """Pitch s/m for the whole cell count m nearest s/eps (at least 1), so
+    the lattice tiles the torus side `s` exactly."""
+    return s / max(1, round(s / eps))
 
 
 def quantize(graph, eps: float) -> Lattice:

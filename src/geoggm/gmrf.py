@@ -15,7 +15,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu, spsolve_triangular
 
-from .geometry import similarity, unwrap_chart
+from .geometry import similarity
 
 
 class CouplingTooLarge(ValueError):
@@ -330,8 +330,8 @@ def stationarity_gamma(
     used = skipped = 0
     for i, j in pairs:
         ids_i, ids_j = list(g.plants[i]), list(g.plants[j])
-        pts_i = unwrap_chart(g.points[ids_i], g.points[ids_i[0]], g.torus)
-        pts_j = unwrap_chart(g.points[ids_j], g.points[ids_j[0]], g.torus)
+        pts_i = g.torus.delta(g.points[ids_i[0]], g.points[ids_i])
+        pts_j = g.torus.delta(g.points[ids_j[0]], g.points[ids_j])
         rho = similarity(pts_i, pts_j, angle_grid=angle_grid)
         if rho < 1e-12:
             skipped += 1

@@ -25,7 +25,7 @@ class FamilyParams:
 
     p vertices at density eta on a torus of side sqrt(p/eta); vertex
     degrees capped at d, edge lengths capped at beta, common coupling
-    theta.  Requires d*theta < 1/2 and eta*beta^2 > d.
+    theta.  Requires d*theta < 1/2, eta*beta^2 > d and beta < s/2.
     """
 
     p: int
@@ -50,6 +50,8 @@ class FamilyParams:
             raise ValueError(
                 f"eta*beta^2 = {self.eta * self.beta ** 2} must exceed d = {self.d}"
             )
+        if self.beta >= 0.5 * self.s:
+            raise ValueError("beta must be below half the torus side")
 
     @property
     def s(self) -> float:

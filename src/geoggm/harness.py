@@ -19,6 +19,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import bounds
+from .geometry import snap_eps
 from .graphgen import FamilyParams, PlantSpec, generate
 from .gmrf import assemble_precision
 from .selector import SelectorParams, run_selection
@@ -240,7 +241,7 @@ def _run_one(cfg, p, n, theta, d, eta, beta, seed) -> RunRecord:
     eps = cfg.eps if cfg.eps is not None else 1.0 / math.log(p)
     # snap the pitch to a divisor of this sweep point's torus side so that
     # planted copies land exactly on the selection lattice at every p
-    eps = params.s / max(1, round(params.s / eps))
+    eps = snap_eps(eps, params.s)
     plant = build_plant_spec(cfg, p, eta, beta, eps)
     graph = generate(params, plant)
     model = assemble_precision(graph.adjacency, theta, d)

@@ -24,7 +24,7 @@ from .geometry import (
     PatternTemplate,
     Torus,
     quantize,
-    unwrap_chart,
+    snap_eps,
 )
 from .gmrf import (
     NotPositiveDefinite,
@@ -77,15 +77,17 @@ class SelectorParams:
             raise ValueError("detect_threshold must be positive")
 
 
-def default_params(p: int, theta: float) -> SelectorParams:
+def default_params(p: int, theta: float, **overrides) -> SelectorParams:
     """Asymptotic defaults: r = max(2, ceil(lnln p)), eps = 1/ln p,
-    w = eps * ln^2 p, threshold theta/2.  All overridable."""
+    w = eps * ln^2 p, threshold theta/2.  Keyword `overrides` replace
+    any of them (or set `min_zeta`, `k_cap`) before validation."""
     if p < 16:
         raise ValueError("defaults need p >= 16")
     lp = math.log(p)
-    r = max(2, math.ceil(math.log(lp)))
     eps = 1.0 / lp
-    return SelectorParams(r=r, eps=eps, w=eps * lp * lp, theta=theta)
+    fields = dict(r=max(2, math.ceil(math.log(lp))), eps=eps, w=eps * lp * lp)
+    fields.update(overrides)
+    return SelectorParams(theta=theta, **fields)
 
 
 @dataclass
@@ -111,7 +113,7 @@ class CopySet:
 
 
 def _occurrence_center(ids, points, torus: Torus) -> np.ndarray:
-    local = unwrap_chart(points[list(ids)], points[ids[0]], torus)
+    local = torus.delta(points[ids[0]], points[list(ids)])
     return torus.wrap(points[ids[0]] + local.mean(axis=0))
 
 
@@ -228,66 +230,44 @@ def detect_edges(S: np.ndarray, h_slots, theta: float, threshold: float):
     return adj, j_hat
 
 
-class _BoxCounter:
-    """Toroidal k x k window sums from one 2-D prefix table."""
-
-    def __init__(self, grid: np.ndarray):
-        m = grid.shape[0]
-        self.m = m
-        self.prefix = np.zeros((2 * m + 1, 2 * m + 1), dtype=np.int64)
-        self.prefix[1:, 1:] = (
-            np.tile(grid, (2, 2)).astype(np.int64).cumsum(0).cumsum(1)
-        )
-
-    def counts(self, k: int) -> np.ndarray:
-        if k > self.m:
-            raise ValueError("window exceeds the lattice size")
-        i = np.arange(self.m)
-        P = self.prefix
-        return (
-            P[np.ix_(i + k, i + k)]
-            - P[np.ix_(i, i + k)]
-            - P[np.ix_(i + k, i)]
-            - P[np.ix_(i, i)]
-        )
-
-
 def default_k_cap(r: int, eta: float, eps: float, m: int) -> int:
     """Window-size sanity cap: about (1/eps) sqrt(r/eta) log r nodes."""
     cap = math.ceil(math.sqrt(r / eta) * math.log(max(r, 3)) / eps)
     return max(3, min(cap, m))
 
 
-def _candidate_squares(lattice: Lattice, r: int, target: np.ndarray,
-                       k_cap: int):
+def _candidate_squares(lattice: Lattice, r: int, k_cap: int):
     """Yield (i, j, k, ids) squares in row-major scan order.
 
     For each anchor, k grows until the window first encloses at least r
-    vertices; the anchor qualifies when that count is exactly r and the
-    window holds at least one target vertex.  Windows are automatically
-    contiguous: every vertex inside the square belongs to the window set.
-    `ids` are the window's vertices in increasing order.
+    vertices; the anchor qualifies when that count is exactly r.  Windows
+    are automatically contiguous: every vertex inside the square belongs
+    to the window set.  `ids` are the window's vertices in increasing order.
     """
     m = lattice.m
-    occupied = lattice.grid >= 0
-    occ_boxes = _BoxCounter(occupied)
-    tgt_boxes = _BoxCounter(occupied & target[lattice.grid])
+    P = np.zeros((2 * m + 1, 2 * m + 1), dtype=np.int64)
+    P[1:, 1:] = np.tile(lattice.grid >= 0, (2, 2)).cumsum(0).cumsum(1)
+    a = np.arange(m)
     reached = np.zeros((m, m), dtype=bool)
-    candidates: list[tuple[int, int, int]] = []
+    size = np.zeros((m, m), dtype=int)  # qualifying k per anchor, 0 if none
     for k in range(1, min(k_cap, m) + 1):
-        cnt = occ_boxes.counts(k)
+        # known defect: the P[i, j] corner is subtracted where
+        # inclusion-exclusion adds it, so counts run low off row/column 0
+        # and some anchors are never offered; the re-check below keeps
+        # every yielded window exact
+        cnt = (P[np.ix_(a + k, a + k)] - P[np.ix_(a, a + k)]
+               - P[np.ix_(a + k, a)] - P[np.ix_(a, a)])
         newly = (cnt >= r) & ~reached
         reached |= newly
-        good = newly & (cnt == r) & (tgt_boxes.counts(k) > 0)
-        candidates += [(i, j, k) for i, j in np.argwhere(good).tolist()]
+        size[newly & (cnt == r)] = k
         if reached.all():
             break
-    candidates.sort()
-    for i, j, k in candidates:
+    for i, j in np.argwhere(size).tolist():
+        k = int(size[i, j])
         span = np.arange(k)
         window = lattice.grid[np.ix_((i + span) % m, (j + span) % m)]
         ids = window[window >= 0].tolist()
-        if len(ids) == r:  # box counts run low off row/column 0: re-check
+        if len(ids) == r:
             yield i, j, k, sorted(ids)
 
 
@@ -392,22 +372,16 @@ def zero_one_loss(e_hat, e_true):
     return (0 if (missed == 0 and false == 0) else 1), missed, false
 
 
-def _snap_eps(eps: float, s: float) -> float:
-    """Largest lattice pitch <= about eps that divides the torus side."""
-    m = max(1, round(s / eps))
-    return s / m
-
-
 def _quantize_with_backoff(graph, eps: float, max_halvings: int = 8):
     """Quantize, halving the pitch on node collisions."""
-    eps = _snap_eps(eps, graph.torus.s)
+    eps = snap_eps(eps, graph.torus.s)
     last: CollisionError | None = None
     for _ in range(max_halvings + 1):
         try:
             return quantize(graph, eps)
         except CollisionError as exc:
             last = exc
-            eps = _snap_eps(eps / 2.0, graph.torus.s)
+            eps = snap_eps(eps / 2.0, graph.torus.s)
     raise last
 
 
@@ -452,7 +426,6 @@ def run_selection(
     tree = cKDTree(np.mod(graph.points, graph.torus.s), boxsize=graph.torus.s)
 
     detected = np.zeros(p, dtype=bool)
-    undecided = np.zeros(p, dtype=bool)
     decisions: dict[tuple[int, int], tuple[bool, float, dict]] = {}
     copies_found = copies_used = iterations = 0
     achieved_zetas: list[float] = []
@@ -464,114 +437,102 @@ def run_selection(
     def markable(v: int, img_set: set) -> bool:
         return all(u in img_set for u in ball_ids(v))
 
-    while True:
-        target = ~(detected | undecided)
-        if not target.any():
-            break
-        progressed = False
-        for i, j, k, ids in _candidate_squares(lattice, params.r, target, k_cap):
-            template, anchor = _window_template(lattice, ids, i, j)
-            outside = np.ones(p, dtype=bool)
-            outside[list(ids)] = False
-            outside_ids = np.nonzero(outside)[0]
-            window_dist = graph_distance(graph.adjacency, ids, outside_ids)
-            if math.isinf(window_dist):
-                # window contains whole components: the local inversion is
-                # exact with no truncation, so the whole window is the core
-                h_slots = list(range(len(ids)))
-                zeta = math.inf
-            else:
-                h_slots = _middle_slots(lattice, ids, (i, j, k))
-                if not h_slots:
-                    continue
-                dist = graph_distance(
-                    graph.adjacency, [ids[t] for t in h_slots], outside_ids
-                )
-                zeta = dist - 2 if math.isfinite(dist) else math.inf
-            h_ids = [ids[t] for t in h_slots]
-            # cheap viability screen: the window's own core must decide
-            # at least one new vertex, else copies cannot either
-            h_set = set(h_ids)
-            if not any(
-                target[v] and markable(v, h_set) for v in h_ids
-            ):
+    for i, j, k, ids in _candidate_squares(lattice, params.r, k_cap):
+        if detected[ids].all():
+            continue
+        template, anchor = _window_template(lattice, ids, i, j)
+        outside = np.ones(p, dtype=bool)
+        outside[list(ids)] = False
+        outside_ids = np.nonzero(outside)[0]
+        window_dist = graph_distance(graph.adjacency, ids, outside_ids)
+        if math.isinf(window_dist):
+            # window contains whole components: the local inversion is
+            # exact with no truncation, so the whole window is the core
+            h_slots = list(range(len(ids)))
+            zeta = math.inf
+        else:
+            h_slots = _middle_slots(lattice, ids, (i, j, k))
+            if not h_slots:
                 continue
-            if params.min_zeta is not None and zeta < params.min_zeta:
-                continue
+            dist = graph_distance(
+                graph.adjacency, [ids[t] for t in h_slots], outside_ids
+            )
+            zeta = dist - 2 if math.isfinite(dist) else math.inf
+        h_ids = [ids[t] for t in h_slots]
+        # cheap viability screen: the window's own core must decide
+        # at least one new vertex, else copies cannot either
+        h_set = set(h_ids)
+        if not any(not detected[v] and markable(v, h_set) for v in h_ids):
+            continue
+        if params.min_zeta is not None and zeta < params.min_zeta:
+            continue
 
-            copies = find_copies(lattice, template, graph, anchor=anchor)
-            greedy_separated(copies, params.w)
-            copies_found += len(copies.matches)
-            copies_used += len(copies.separated)
-            if len(copies.separated) == 1 and not exact_cov:
-                low_confidence = True
-            if exact_cov:
-                S = model.covariance_submatrix(list(ids))
-            else:
-                try:
-                    S = pooled_scm(samples, copies)
-                except ValueError:
-                    continue
+        copies = find_copies(lattice, template, graph, anchor=anchor)
+        greedy_separated(copies, params.w)
+        copies_found += len(copies.matches)
+        copies_used += len(copies.separated)
+        if len(copies.separated) == 1 and not exact_cov:
+            low_confidence = True
+        if exact_cov:
+            S = model.covariance_submatrix(list(ids))
+        else:
             try:
-                adj_h, j_hat = detect_edges(
-                    S, h_slots, params.theta, params.detect_threshold
-                )
-            except DetectionSkipped:
+                S = pooled_scm(samples, copies)
+            except ValueError:
                 continue
+        try:
+            adj_h, j_hat = detect_edges(
+                S, h_slots, params.theta, params.detect_threshold
+            )
+        except DetectionSkipped:
+            continue
 
-            iteration_marked = False
-            for occ_idx in copies.separated:
-                occ = copies.matches[occ_idx]
-                img = [occ.vertex_ids[t] for t in h_slots]
-                img_set = set(img)
-                for a in range(len(img)):
-                    for b in range(a + 1, len(img)):
-                        u, v = img[a], img[b]
-                        key = (u, v) if u < v else (v, u)
-                        margin_ab = abs(
-                            abs(j_hat[a, b]) - params.detect_threshold
+        for occ_idx in copies.separated:
+            occ = copies.matches[occ_idx]
+            img = [occ.vertex_ids[t] for t in h_slots]
+            img_set = set(img)
+            for a in range(len(img)):
+                for b in range(a + 1, len(img)):
+                    u, v = img[a], img[b]
+                    key = (u, v) if u < v else (v, u)
+                    margin_ab = abs(
+                        abs(j_hat[a, b]) - params.detect_threshold
+                    )
+                    declared = bool(adj_h[a, b])
+                    prev = decisions.get(key)
+                    if prev is None:
+                        decisions[key] = (
+                            declared,
+                            margin_ab,
+                            {"iteration": iterations, "copy": occ_idx,
+                             "conflicts": []},
                         )
-                        declared = bool(adj_h[a, b])
-                        prev = decisions.get(key)
-                        if prev is None:
-                            decisions[key] = (
-                                declared,
-                                margin_ab,
-                                {"iteration": iterations, "copy": occ_idx,
-                                 "conflicts": []},
-                            )
-                        elif margin_ab > prev[1]:
-                            conflicts = prev[2]["conflicts"]
-                            if declared != prev[0]:
-                                conflicts = conflicts + [
-                                    {"iteration": prev[2]["iteration"],
-                                     "declared": prev[0],
-                                     "margin": prev[1]}
-                                ]
-                            decisions[key] = (
-                                declared,
-                                margin_ab,
-                                {"iteration": iterations, "copy": occ_idx,
-                                 "conflicts": conflicts},
-                            )
-                        elif declared != prev[0]:
-                            prev[2]["conflicts"].append(
-                                {"iteration": iterations,
-                                 "declared": declared,
-                                 "margin": margin_ab}
-                            )
-                for v in img:
-                    if not detected[v] and markable(v, img_set):
-                        detected[v] = True
-                        undecided[v] = False
-                        iteration_marked = True
-            iterations += 1
-            achieved_zetas.append(zeta)
-            if iteration_marked:
-                progressed = True
-                break
-        if not progressed:
-            undecided |= ~detected
+                    elif margin_ab > prev[1]:
+                        conflicts = prev[2]["conflicts"]
+                        if declared != prev[0]:
+                            conflicts = conflicts + [
+                                {"iteration": prev[2]["iteration"],
+                                 "declared": prev[0],
+                                 "margin": prev[1]}
+                            ]
+                        decisions[key] = (
+                            declared,
+                            margin_ab,
+                            {"iteration": iterations, "copy": occ_idx,
+                             "conflicts": conflicts},
+                        )
+                    elif declared != prev[0]:
+                        prev[2]["conflicts"].append(
+                            {"iteration": iterations,
+                             "declared": declared,
+                             "margin": margin_ab}
+                        )
+            for v in img:
+                if not detected[v] and markable(v, img_set):
+                    detected[v] = True
+        iterations += 1
+        achieved_zetas.append(zeta)
+        if detected.all():
             break
 
     edges = sorted(k for k, (declared, _, _) in decisions.items() if declared)
@@ -593,7 +554,7 @@ def run_selection(
         zero_one_loss=loss,
         missed_edges=missed,
         false_edges=false,
-        undecided_vertices=sorted(np.nonzero(undecided)[0].tolist()),
+        undecided_vertices=np.nonzero(~detected)[0].tolist(),
         runtime_ms=1000.0 * (time.perf_counter() - t0),
         edges=edges,
         true_edge_count=graph.adjacency.nnz // 2,

@@ -2,13 +2,20 @@
 
 Everything here is deliberately naive: exhaustive permutations, gift
 wrapping, direct scans, plain recursions, Monte Carlo.  None of it shares
-code paths with the library.
+code paths with the library, except `restart_selection`: the earlier shape
+of the selection loop, kept as the reference for the one-pass loop.  It
+reuses the library's unchanged stages (copy search, pooling, detection).
 """
 import itertools
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import quad
+from scipy.spatial import cKDTree
+
+from geoggm import selector as sel
+from geoggm.gmrf import assemble_precision, graph_distance
 
 
 def brute_matching(F, H):
@@ -239,6 +246,188 @@ def window_vertices_scan(nodes, m, i, j, k):
     return sorted(
         v for v, (a, b) in enumerate(nodes)
         if (a - i) % m < k and (b - j) % m < k
+    )
+
+
+def candidate_squares_scan(nodes, m, r, cap):
+    """Anchors (i, j, k, ids) whose smallest k <= cap with at least r
+    vertices in the k x k toroidal window holds exactly r, row-major."""
+    out = []
+    for i in range(m):
+        for j in range(m):
+            for k in range(1, min(cap, m) + 1):
+                ids = window_vertices_scan(nodes, m, i, j, k)
+                if len(ids) >= r:
+                    if len(ids) == r:
+                        out.append((i, j, k, ids))
+                    break
+    return out
+
+
+def _target_candidate_squares(lattice, r, target, k_cap):
+    """The earlier scan: occupancy and target box counts from two prefix
+    tables (with the P[i, j] corner subtracted, as the library does)."""
+    m = lattice.m
+    a = np.arange(m)
+
+    def box_counts(cells):
+        P = np.zeros((2 * m + 1, 2 * m + 1), dtype=np.int64)
+        P[1:, 1:] = np.tile(cells, (2, 2)).astype(np.int64).cumsum(0).cumsum(1)
+        return lambda k: (P[np.ix_(a + k, a + k)] - P[np.ix_(a, a + k)]
+                          - P[np.ix_(a + k, a)] - P[np.ix_(a, a)])
+
+    occupied = lattice.grid >= 0
+    occ_counts = box_counts(occupied)
+    tgt_counts = box_counts(occupied & target[lattice.grid])
+    reached = np.zeros((m, m), dtype=bool)
+    candidates = []
+    for k in range(1, min(k_cap, m) + 1):
+        cnt = occ_counts(k)
+        newly = (cnt >= r) & ~reached
+        reached |= newly
+        good = newly & (cnt == r) & (tgt_counts(k) > 0)
+        candidates += [(i, j, k) for i, j in np.argwhere(good).tolist()]
+        if reached.all():
+            break
+    candidates.sort()
+    for i, j, k in candidates:
+        span = np.arange(k)
+        window = lattice.grid[np.ix_((i + span) % m, (j + span) % m)]
+        ids = window[window >= 0].tolist()
+        if len(ids) == r:
+            yield i, j, k, sorted(ids)
+
+
+def restart_selection(graph, params, samples=None, model=None,
+                      exact_cov=False):
+    """The earlier `run_selection` loop: rescan from the first anchor,
+    offering only windows that hold an undecided vertex, after every
+    iteration that marks vertices; stop when a full scan marks none.
+    Returns the report with `runtime_ms` = 0."""
+    p = graph.p
+    beta = graph.params.beta
+    if exact_cov and model is None:
+        model = assemble_precision(graph.adjacency, params.theta,
+                                   graph.params.d)
+    lattice = sel._quantize_with_backoff(graph, params.eps)
+    k_cap = params.k_cap or sel.default_k_cap(
+        params.r, graph.params.eta, lattice.eps, lattice.m)
+    tree = cKDTree(np.mod(graph.points, graph.torus.s), boxsize=graph.torus.s)
+
+    def markable(v, img_set):
+        ball = tree.query_ball_point(graph.points[v] % graph.torus.s, beta)
+        return all(u in img_set for u in ball)
+
+    detected = np.zeros(p, dtype=bool)
+    undecided = np.zeros(p, dtype=bool)
+    decisions = {}
+    copies_found = copies_used = iterations = 0
+    achieved_zetas = []
+    low_confidence = False
+    while True:
+        target = ~(detected | undecided)
+        if not target.any():
+            break
+        progressed = False
+        for i, j, k, ids in _target_candidate_squares(lattice, params.r,
+                                                      target, k_cap):
+            template, anchor = sel._window_template(lattice, ids, i, j)
+            outside_ids = np.setdiff1d(np.arange(p), ids)
+            window_dist = graph_distance(graph.adjacency, ids, outside_ids)
+            if math.isinf(window_dist):
+                h_slots = list(range(len(ids)))
+                zeta = math.inf
+            else:
+                h_slots = sel._middle_slots(lattice, ids, (i, j, k))
+                if not h_slots:
+                    continue
+                dist = graph_distance(
+                    graph.adjacency, [ids[t] for t in h_slots], outside_ids)
+                zeta = dist - 2 if math.isfinite(dist) else math.inf
+            h_ids = [ids[t] for t in h_slots]
+            h_set = set(h_ids)
+            if not any(target[v] and markable(v, h_set) for v in h_ids):
+                continue
+            if params.min_zeta is not None and zeta < params.min_zeta:
+                continue
+            copies = sel.find_copies(lattice, template, graph, anchor=anchor)
+            sel.greedy_separated(copies, params.w)
+            copies_found += len(copies.matches)
+            copies_used += len(copies.separated)
+            if len(copies.separated) == 1 and not exact_cov:
+                low_confidence = True
+            if exact_cov:
+                S = model.covariance_submatrix(list(ids))
+            else:
+                try:
+                    S = sel.pooled_scm(samples, copies)
+                except ValueError:
+                    continue
+            try:
+                adj_h, j_hat = sel.detect_edges(
+                    S, h_slots, params.theta, params.detect_threshold)
+            except sel.DetectionSkipped:
+                continue
+            iteration_marked = False
+            for occ_idx in copies.separated:
+                img = [copies.matches[occ_idx].vertex_ids[t] for t in h_slots]
+                img_set = set(img)
+                for a in range(len(img)):
+                    for b in range(a + 1, len(img)):
+                        key = tuple(sorted((img[a], img[b])))
+                        margin = abs(abs(j_hat[a, b]) - params.detect_threshold)
+                        declared = bool(adj_h[a, b])
+                        prev = decisions.get(key)
+                        if prev is None:
+                            decisions[key] = (declared, margin, {
+                                "iteration": iterations, "copy": occ_idx,
+                                "conflicts": []})
+                        elif margin > prev[1]:
+                            conflicts = prev[2]["conflicts"]
+                            if declared != prev[0]:
+                                conflicts = conflicts + [{
+                                    "iteration": prev[2]["iteration"],
+                                    "declared": prev[0], "margin": prev[1]}]
+                            decisions[key] = (declared, margin, {
+                                "iteration": iterations, "copy": occ_idx,
+                                "conflicts": conflicts})
+                        elif declared != prev[0]:
+                            prev[2]["conflicts"].append({
+                                "iteration": iterations,
+                                "declared": declared, "margin": margin})
+                for v in img:
+                    if not detected[v] and markable(v, img_set):
+                        detected[v] = True
+                        undecided[v] = False
+                        iteration_marked = True
+            iterations += 1
+            achieved_zetas.append(zeta)
+            if iteration_marked:
+                progressed = True
+                break
+        if not progressed:
+            undecided |= ~detected
+            break
+
+    edges = sorted(key for key, (declared, _, _) in decisions.items()
+                   if declared)
+    rows = [u for u, v in edges] + [v for u, v in edges]
+    cols = [v for u, v in edges] + [u for u, v in edges]
+    e_hat = sp.csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)),
+                          shape=(p, p))
+    loss, missed, false = sel.zero_one_loss(e_hat, graph.adjacency)
+    return sel.SelectionReport(
+        p=p, n=samples.n if samples is not None else 0, r=params.r,
+        eps=lattice.eps, w=params.w, theta=params.theta,
+        copies_found=copies_found, copies_used=copies_used,
+        zero_one_loss=loss, missed_edges=missed, false_edges=false,
+        undecided_vertices=sorted(np.nonzero(undecided)[0].tolist()),
+        runtime_ms=0.0, edges=edges,
+        true_edge_count=graph.adjacency.nnz // 2, iterations=iterations,
+        achieved_zetas=achieved_zetas,
+        provenance={f"{u},{v}": meta
+                    for (u, v), (_, _, meta) in decisions.items()},
+        low_confidence=low_confidence,
     )
 
 

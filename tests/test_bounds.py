@@ -124,10 +124,6 @@ def test_mckay_count_log_space_stability():
     assert math.isfinite(val)
 
 
-def test_render_log_count():
-    assert bounds.render_log_count(math.log(1.0e5)).startswith("1.0000e+5")
-
-
 def test_expected_copies_continuous_collapse():
     # r = 2: the exponent collapses to a single eta eps^2 factor
     val = bounds.expected_copies_continuous(2, 0.1, 1.0, 1000, l_bar=2.0)

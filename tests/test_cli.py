@@ -55,6 +55,33 @@ def test_select_exact_cov(tmp_path):
     assert blob["zero_one_loss"] == 0
 
 
+def _select_defaults(tmp_path, *flags):
+    """Run `select --exact-cov` on a small planted graph with only the given
+    flags set; return the JSON report."""
+    import plantcfg
+    from geoggm.graphgen import write_graph
+
+    graph, _, _ = plantcfg.grid_plant_graph(p=20, theta=0.11, seed=2)
+    graph_file = tmp_path / "g.txt"
+    write_graph(graph, graph_file)
+    report_file = tmp_path / "rep.json"
+    rc = cli.main(["select", "--graph", str(graph_file), "--exact-cov",
+                   "--out", str(report_file), *flags])
+    assert rc == 0
+    return json.loads(report_file.read_text())
+
+
+def test_select_w_alone_overrides_default(tmp_path):
+    blob = _select_defaults(tmp_path, "--w", "0.75")
+    assert blob["w"] == 0.75
+
+
+def test_select_zero_theta_with_threshold(tmp_path):
+    blob = _select_defaults(tmp_path, "--theta", "0", "--threshold", "0.05")
+    assert blob["theta"] == 0.0
+    assert blob["edges"] == []
+
+
 def test_bounds_table(capsys):
     rc = cli.main([
         "bounds", "--p", "100", "--eta", "1", "--d", "3", "--beta", "2.2",

@@ -16,7 +16,14 @@ def small_params(**overrides):
 
 def test_family_params_side_length():
     assert small_params().s == pytest.approx(10.0)
-    assert gg.FamilyParams(p=4, eta=4.0, d=1, beta=0.6, theta=0.1).s == pytest.approx(1.0)
+    assert gg.FamilyParams(p=9, eta=4.0, d=1, beta=0.6, theta=0.1).s == pytest.approx(1.5)
+
+
+def test_family_params_rejects_beta_of_half_the_side():
+    # generate could wire no edge of length beta >= s/2
+    for p, beta in ((4, 0.6), (16, 1.0)):  # s = 1 and s = 2
+        with pytest.raises(ValueError, match="half the torus side"):
+            gg.FamilyParams(p=p, eta=4.0, d=1, beta=beta, theta=0.1)
 
 
 def test_family_params_invariants():
@@ -187,22 +194,24 @@ def test_graph_io_round_trip(tmp_path):
     assert g2.params == g.params
 
 
-_VERTICES = ["v 0 0.1 0.2", "v 1 0.5 0.6", "v 2 1.0 1.1"]
+_VERTICES = ["v 0 0.1 0.2", "v 1 0.5 0.6", "v 2 1.0 1.1", "v 3 1.4 1.5",
+             "v 4 1.8 1.9"]
 
 
 @pytest.mark.parametrize("body, message", [
     (["v 0 0.1 0.2", "v 1 0.5 0.6", "v -1 1.0 1.1"], "outside"),
-    (_VERTICES + ["v 3 1.2 1.3"], "outside"),
+    (_VERTICES + ["v 5 1.2 1.3"], "outside"),
     (["v 0 0.1 0.2", "v 2 1.0 1.1"], "0 vertex lines"),
     (_VERTICES + ["v 1 0.7 0.8"], "2 vertex lines"),
-    (_VERTICES + ["e 0 3"], "outside"),
+    (_VERTICES + ["e 0 5"], "outside"),
     (_VERTICES + ["e 0 0"], "self-loop"),
     (_VERTICES + ["e 0 1", "e 1 0"], "listed twice"),
 ], ids=["negative_vertex", "vertex_id_p", "missing_vertex", "duplicate_vertex",
         "edge_out_of_range", "self_loop", "duplicate_edge"])
 def test_read_graph_rejects_malformed(tmp_path, body, message):
     path = tmp_path / "graph.txt"
-    path.write_text("\n".join(["3 1.7320508075688772 1 2 1 0.1 0"] + body) + "\n")
+    # header: a valid family (p=5, eta=1, beta=1.05 < s/2, d=1, theta=0.1)
+    path.write_text("\n".join(["5 2.23606797749979 1 1.05 1 0.1 0"] + body) + "\n")
     with pytest.raises(ValueError, match=message):
         gg.read_graph(path)
 
