@@ -91,81 +91,67 @@ def default_params(p: int, theta: float, **overrides) -> SelectorParams:
 
 
 @dataclass
-class Occurrence:
-    """One placement of a pattern: lattice position, quarter-turn rotation,
-    and the vertex ids it covers in template slot order."""
-
-    position: tuple[int, int]
-    rotation: int
-    vertex_ids: tuple[int, ...]
-    center: np.ndarray
-
-
-@dataclass
 class CopySet:
-    """A pattern, all its matched occurrences (the original first when
-    known), and the indices of the pooling subset chosen for separation."""
+    """A pattern and all its matched occurrences, one row each (the
+    original first when known): `matches` holds the (N, size) vertex ids
+    in template slot order, `centers` the (N, 2) occurrence centers, and
+    `separated` the indices of the pooling subset chosen for separation."""
 
     template: PatternTemplate
-    matches: list[Occurrence]
+    matches: np.ndarray
+    centers: np.ndarray
     separated: list[int] = field(default_factory=list)
     torus: Torus | None = None
 
 
-def _occurrence_center(ids, points, torus: Torus) -> np.ndarray:
-    local = torus.delta(points[ids[0]], points[list(ids)])
-    return torus.wrap(points[ids[0]] + local.mean(axis=0))
-
-
 def find_copies(lattice: Lattice, template: PatternTemplate, graph,
-                anchor: tuple[int, int] | None = None) -> CopySet:
+                first=None) -> CopySet:
     """All placements where a rotation of the pattern occurs contiguously.
 
     A placement matches when every rotated pattern offset is occupied and
     no foreign vertex sits inside the pattern's convex hull (checked on
-    the hull-interior cells).  Placements wrap around the torus.
-    Duplicates across rotations of symmetric patterns are removed by
-    occurrence vertex set; when `anchor` names the template's own
-    placement, that occurrence is moved to the front.
+    the hull-interior cells).  Only placements that put the first pattern
+    offset on an occupied node are tried; they wrap around the torus and
+    are scanned in row-major order, rotation by rotation.  Duplicates across rotations of symmetric
+    patterns are removed by occurrence vertex set; the occurrence whose
+    slot ids equal `first` (the window's own) is moved to the front.
     """
     grid = lattice.grid
-    occ = grid >= 0
     m = lattice.m
     if template.k > m:
         raise ValueError("pattern exceeds the lattice size")
     seen_patterns: set[frozenset] = set()
     seen_sets: set[frozenset] = set()
-    matches: list[Occurrence] = []
+    rows: list[list[int]] = []
     for q in range(4):
         rot = template.rotated(q)
         key = frozenset(rot.offsets)
         if key in seen_patterns:
             continue
         seen_patterns.add(key)
-        present = np.ones((m, m), dtype=bool)
-        for a, b in rot.offsets:
-            present &= np.roll(occ, (-a, -b), axis=(0, 1))
-        for a, b in rot.interior_cells():
-            present &= ~np.roll(occ, (-a, -b), axis=(0, 1))
-        I, J = np.nonzero(present)
-        rows, cols = np.array(rot.offsets).T
-        slot_ids = grid[(I[:, None] + rows) % m, (J[:, None] + cols) % m].tolist()
-        for i, j, ids in zip(I.tolist(), J.tolist(), map(tuple, slot_ids)):
+        # placements whose first offset lands on an occupied node; the
+        # pattern offsets come first in `cells`, the hull interior after
+        cells = np.array(rot.offsets + rot.interior_cells())
+        at = np.unique((lattice.nodes - cells[0]) % m, axis=0)
+        found = grid[(at[:, :1] + cells[:, 0]) % m, (at[:, 1:] + cells[:, 1]) % m]
+        slot_ids = found[:, :rot.size]
+        keep = (slot_ids >= 0).all(axis=1) & (found[:, rot.size:] < 0).all(axis=1)
+        for ids in slot_ids[keep].tolist():
             if frozenset(ids) in seen_sets:
                 continue
             seen_sets.add(frozenset(ids))
-            matches.append(Occurrence(
-                position=(i, j),
-                rotation=q,
-                vertex_ids=ids,
-                center=_occurrence_center(ids, graph.points, lattice.torus),
-            ))
-    if anchor is not None:
-        for idx, occr in enumerate(matches):
-            if occr.position == tuple(anchor) and occr.rotation == 0:
-                matches.insert(0, matches.pop(idx))
-                break
-    return CopySet(template=template, matches=matches, torus=lattice.torus)
+            rows.append(ids)
+    matches = np.array(rows, dtype=int).reshape(len(rows), template.size)
+    if first is not None:
+        hit = np.flatnonzero((matches == np.asarray(first)).all(axis=1))
+        if len(hit):
+            matches = np.vstack([matches[hit], np.delete(matches, hit, axis=0)])
+    pts = graph.points[matches]
+    torus = lattice.torus
+    local = torus.delta(pts[:, :1], pts)
+    centers = torus.wrap(pts[:, 0] + local.mean(axis=1))
+    return CopySet(template=template, matches=matches, centers=centers,
+                   torus=torus)
 
 
 def greedy_separated(copies: CopySet, w: float) -> CopySet:
@@ -175,16 +161,15 @@ def greedy_separated(copies: CopySet, w: float) -> CopySet:
     from every accepted one; the center distance lower-bounds the
     bottleneck distance between the vertex sets, so accepted occurrences
     are genuinely w-separated.  The first occurrence is always accepted.
+    (A k-d tree ball query would also return centers at distance exactly
+    w, which this rule accepts.)
     """
-    if not copies.matches:
+    if not len(copies.matches):
         raise ValueError("no occurrences to separate")
-    torus = copies.torus
+    centers = copies.centers
     accepted: list[int] = []
-    for idx, occr in enumerate(copies.matches):
-        if all(
-            torus.distance(occr.center, copies.matches[j].center) >= w
-            for j in accepted
-        ):
+    for idx, c in enumerate(centers):
+        if (copies.torus.distance(c, centers[accepted]) >= w).all():
             accepted.append(idx)
     copies.separated = accepted
     return copies
@@ -193,20 +178,17 @@ def greedy_separated(copies: CopySet, w: float) -> CopySet:
 def pooled_scm(samples: SampleMatrix, copies: CopySet) -> np.ndarray:
     """Average the per-occurrence sample covariances over the pooling set.
 
-    Occurrence vertex lists are slot-aligned, so entry (a, b) always
-    refers to the same pair of template slots regardless of position or
-    rotation.  The reduction order is the fixed scan order.
+    The rows of `matches` are slot-aligned, so entry (a, b) always refers
+    to the same pair of template slots regardless of position or rotation.
+    The reduction order is the fixed scan order.
     """
     if not copies.separated:
         raise ValueError("pooling subset is empty")
     X = samples.data
     size = copies.template.size
     out = np.zeros((size, size))
-    for idx in copies.separated:
-        ids = copies.matches[idx].vertex_ids
-        if len(ids) != size:
-            raise ValueError("occurrence is not slot-aligned with the template")
-        sub = X[:, list(ids)]
+    for ids in copies.matches[copies.separated]:
+        sub = X[:, ids]
         out += sub.T @ sub
     out /= samples.n * len(copies.separated)
     return out
@@ -247,7 +229,6 @@ def _candidate_squares(lattice: Lattice, r: int, k_cap: int):
     m = lattice.m
     P = np.zeros((2 * m + 1, 2 * m + 1), dtype=np.int64)
     P[1:, 1:] = np.tile(lattice.grid >= 0, (2, 2)).cumsum(0).cumsum(1)
-    a = np.arange(m)
     reached = np.zeros((m, m), dtype=bool)
     size = np.zeros((m, m), dtype=int)  # qualifying k per anchor, 0 if none
     for k in range(1, min(k_cap, m) + 1):
@@ -255,8 +236,8 @@ def _candidate_squares(lattice: Lattice, r: int, k_cap: int):
         # inclusion-exclusion adds it, so counts run low off row/column 0
         # and some anchors are never offered; the re-check below keeps
         # every yielded window exact
-        cnt = (P[np.ix_(a + k, a + k)] - P[np.ix_(a, a + k)]
-               - P[np.ix_(a + k, a)] - P[np.ix_(a, a)])
+        cnt = (P[k:k + m, k:k + m] - P[:m, k:k + m]
+               - P[k:k + m, :m] - P[:m, :m])
         newly = (cnt >= r) & ~reached
         reached |= newly
         size[newly & (cnt == r)] = k
@@ -273,16 +254,9 @@ def _candidate_squares(lattice: Lattice, r: int, k_cap: int):
 
 def _window_template(lattice: Lattice, ids, i0: int, j0: int):
     """Pattern of the window's occupied cells, cropped and normalized.
-
-    Slot order follows `ids`.  Returns the template and its lattice anchor
-    (the position find_copies reports for the original occurrence).
-    """
-    m = lattice.m
-    rel = (lattice.nodes[list(ids)] - (i0, j0)) % m
-    r0, c0 = rel.min(axis=0).tolist()
-    template = PatternTemplate.from_offsets(rel.tolist())
-    anchor = ((i0 + r0) % m, (j0 + c0) % m)
-    return template, anchor
+    Slot order follows `ids`."""
+    rel = (lattice.nodes[list(ids)] - (i0, j0)) % lattice.m
+    return PatternTemplate.from_offsets(rel.tolist())
 
 
 def _middle_slots(lattice: Lattice, ids, square) -> list[int]:
@@ -353,30 +327,24 @@ class SelectionReport:
 def zero_one_loss(e_hat, e_true):
     """(loss, missed, false): loss is 0 iff the adjacencies are identical;
     the counts enumerate the symmetric difference over unordered pairs."""
-    A = sp.csr_matrix(e_hat)
-    B = sp.csr_matrix(e_true)
+    A = sp.csr_matrix(e_hat) != 0
+    B = sp.csr_matrix(e_true) != 0
     if A.shape != B.shape:
         raise ValueError("adjacency shapes differ")
-
-    def pair_set(M):
-        coo = M.tocoo()
-        return {
-            (int(u), int(v))
-            for u, v, x in zip(coo.row, coo.col, coo.data)
-            if u < v and x
-        }
-
-    ea, eb = pair_set(A), pair_set(B)
-    missed = len(eb - ea)
-    false = len(ea - eb)
+    missed = sp.triu(B > A, k=1).nnz
+    false = sp.triu(A > B, k=1).nnz
     return (0 if (missed == 0 and false == 0) else 1), missed, false
 
 
-def _quantize_with_backoff(graph, eps: float, max_halvings: int = 8):
-    """Quantize, halving the pitch on node collisions."""
+MAX_HALVINGS = 8
+
+
+def _quantize_with_backoff(graph, eps: float):
+    """Quantize, halving the pitch on node collisions (at most
+    MAX_HALVINGS times)."""
     eps = snap_eps(eps, graph.torus.s)
     last: CollisionError | None = None
-    for _ in range(max_halvings + 1):
+    for _ in range(MAX_HALVINGS + 1):
         try:
             return quantize(graph, eps)
         except CollisionError as exc:
@@ -423,7 +391,8 @@ def run_selection(
     k_cap = params.k_cap or default_k_cap(
         params.r, graph.params.eta, eps_used, lattice.m
     )
-    tree = cKDTree(np.mod(graph.points, graph.torus.s), boxsize=graph.torus.s)
+    pts = graph.torus.wrap(graph.points)
+    balls = cKDTree(pts, boxsize=graph.torus.s).query_ball_point(pts, beta)
 
     detected = np.zeros(p, dtype=bool)
     decisions: dict[tuple[int, int], tuple[bool, float, dict]] = {}
@@ -431,16 +400,13 @@ def run_selection(
     achieved_zetas: list[float] = []
     low_confidence = False
 
-    def ball_ids(v: int) -> list[int]:
-        return tree.query_ball_point(graph.points[v] % graph.torus.s, beta)
-
     def markable(v: int, img_set: set) -> bool:
-        return all(u in img_set for u in ball_ids(v))
+        return all(u in img_set for u in balls[v])
 
     for i, j, k, ids in _candidate_squares(lattice, params.r, k_cap):
         if detected[ids].all():
             continue
-        template, anchor = _window_template(lattice, ids, i, j)
+        template = _window_template(lattice, ids, i, j)
         outside = np.ones(p, dtype=bool)
         outside[list(ids)] = False
         outside_ids = np.nonzero(outside)[0]
@@ -467,7 +433,7 @@ def run_selection(
         if params.min_zeta is not None and zeta < params.min_zeta:
             continue
 
-        copies = find_copies(lattice, template, graph, anchor=anchor)
+        copies = find_copies(lattice, template, graph, first=ids)
         greedy_separated(copies, params.w)
         copies_found += len(copies.matches)
         copies_used += len(copies.separated)
@@ -487,9 +453,8 @@ def run_selection(
         except DetectionSkipped:
             continue
 
-        for occ_idx in copies.separated:
-            occ = copies.matches[occ_idx]
-            img = [occ.vertex_ids[t] for t in h_slots]
+        images = copies.matches[np.ix_(copies.separated, h_slots)].tolist()
+        for occ_idx, img in zip(copies.separated, images):
             img_set = set(img)
             for a in range(len(img)):
                 for b in range(a + 1, len(img)):

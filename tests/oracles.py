@@ -2,12 +2,19 @@
 
 Everything here is deliberately naive: exhaustive permutations, gift
 wrapping, direct scans, plain recursions, Monte Carlo.  None of it shares
-code paths with the library, except `restart_selection`: the earlier shape
-of the selection loop, kept as the reference for the one-pass loop.  It
-reuses the library's unchanged stages (copy search, pooling, detection).
+code paths with the library, except two earlier shapes of library code
+kept as references for their rewrites:
+
+- `restart_selection`, the selection loop before the one-pass loop.  It
+  reuses the library's stages (copy search, pooling, detection).
+- `roll_find_copies`, `scan_separated` and `loop_pooled_scm`, the copy
+  stages before copy sets became index arrays: one `Occurrence` object
+  per placement, one rolled m x m occupancy mask per pattern offset and
+  hull-interior cell, and scalar toroidal distances.
 """
 import itertools
 import math
+from collections import namedtuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -214,6 +221,80 @@ def brute_copy_scan(occupancy, cells, dedup=True):
     return found
 
 
+Occurrence = namedtuple("Occurrence", "position rotation vertex_ids center")
+
+
+def roll_find_copies(lattice, template, points, anchor=None):
+    """The earlier `find_copies`: a placement (i, j) of rotation q matches
+    when every rolled occupancy mask of the rotated offsets is set there and
+    every rolled mask of its hull-interior cells is clear.  Returns the
+    Occurrence list in rotation-then-row-major order, deduplicated by vertex
+    set, with the rotation-0 placement at `anchor` moved to the front."""
+    grid = lattice.grid
+    occ = grid >= 0
+    m = lattice.m
+    torus = lattice.torus
+    seen_patterns, seen_sets, matches = set(), set(), []
+    for q in range(4):
+        rot = template.rotated(q)
+        key = frozenset(rot.offsets)
+        if key in seen_patterns:
+            continue
+        seen_patterns.add(key)
+        present = np.ones((m, m), dtype=bool)
+        for a, b in rot.offsets:
+            present &= np.roll(occ, (-a, -b), axis=(0, 1))
+        for a, b in rot.interior_cells():
+            present &= ~np.roll(occ, (-a, -b), axis=(0, 1))
+        I, J = np.nonzero(present)
+        rows, cols = np.array(rot.offsets).T
+        slot_ids = grid[(I[:, None] + rows) % m, (J[:, None] + cols) % m].tolist()
+        for i, j, ids in zip(I.tolist(), J.tolist(), map(tuple, slot_ids)):
+            if frozenset(ids) in seen_sets:
+                continue
+            seen_sets.add(frozenset(ids))
+            local = torus.delta(points[ids[0]], points[list(ids)])
+            center = torus.wrap(points[ids[0]] + local.mean(axis=0))
+            matches.append(Occurrence((i, j), q, ids, center))
+    if anchor is not None:
+        for idx, occr in enumerate(matches):
+            if occr.position == tuple(anchor) and occr.rotation == 0:
+                matches.insert(0, matches.pop(idx))
+                break
+    return matches
+
+
+def window_anchor(lattice, ids, i0, j0):
+    """Lattice position of a window's pattern: the corner of the bounding
+    box of its occupied cells, as `roll_find_copies` reports it."""
+    rel = (lattice.nodes[list(ids)] - (i0, j0)) % lattice.m
+    r0, c0 = rel.min(axis=0).tolist()
+    return (i0 + r0) % lattice.m, (j0 + c0) % lattice.m
+
+
+def scan_separated(matches, torus, w):
+    """The earlier `greedy_separated`: accept an occurrence iff its center
+    is at least w from every accepted center, one scalar distance each."""
+    accepted = []
+    for idx, occr in enumerate(matches):
+        if all(torus.distance(occr.center, matches[j].center) >= w
+               for j in accepted):
+            accepted.append(idx)
+    return accepted
+
+
+def loop_pooled_scm(samples, matches, separated, size):
+    """The earlier `pooled_scm`: per-occurrence sample covariances summed
+    in scan order and averaged."""
+    X = samples.data
+    out = np.zeros((size, size))
+    for idx in separated:
+        sub = X[:, list(matches[idx].vertex_ids)]
+        out += sub.T @ sub
+    out /= samples.n * len(separated)
+    return out
+
+
 def raw_rotation_position_matches(occupancy, cells):
     """Paper-convention scan: every (position, rotation) pair where the
     rotated cell set is fully occupied, counted without deduplication."""
@@ -331,7 +412,7 @@ def restart_selection(graph, params, samples=None, model=None,
         progressed = False
         for i, j, k, ids in _target_candidate_squares(lattice, params.r,
                                                       target, k_cap):
-            template, anchor = sel._window_template(lattice, ids, i, j)
+            template = sel._window_template(lattice, ids, i, j)
             outside_ids = np.setdiff1d(np.arange(p), ids)
             window_dist = graph_distance(graph.adjacency, ids, outside_ids)
             if math.isinf(window_dist):
@@ -350,7 +431,7 @@ def restart_selection(graph, params, samples=None, model=None,
                 continue
             if params.min_zeta is not None and zeta < params.min_zeta:
                 continue
-            copies = sel.find_copies(lattice, template, graph, anchor=anchor)
+            copies = sel.find_copies(lattice, template, graph, first=ids)
             sel.greedy_separated(copies, params.w)
             copies_found += len(copies.matches)
             copies_used += len(copies.separated)
@@ -370,7 +451,7 @@ def restart_selection(graph, params, samples=None, model=None,
                 continue
             iteration_marked = False
             for occ_idx in copies.separated:
-                img = [copies.matches[occ_idx].vertex_ids[t] for t in h_slots]
+                img = copies.matches[occ_idx, h_slots].tolist()
                 img_set = set(img)
                 for a in range(len(img)):
                     for b in range(a + 1, len(img)):

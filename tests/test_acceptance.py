@@ -231,11 +231,9 @@ def test_criterion_06_pooled_scm_concentration():
     sel.greedy_separated(copies, w=2 * eps)
     n_prime = len(copies.separated)
     assert n_prime * n >= 2000
-    theta_f = model.covariance_submatrix(list(copies.matches[0].vertex_ids))
+    theta_f = model.covariance_submatrix(copies.matches[0])
     spectral = max(
-        np.linalg.norm(
-            model.covariance_submatrix(list(copies.matches[k].vertex_ids)), 2
-        )
+        np.linalg.norm(model.covariance_submatrix(copies.matches[k]), 2)
         for k in copies.separated
     )
     band = spectral * (r_t / math.sqrt(n_prime * n) + 0.1)
@@ -401,7 +399,7 @@ def test_criterion_11_pattern_search_exactness():
         cells = shapes[trial % len(shapes)]
         template = PatternTemplate.from_offsets(cells)
         copies = sel.find_copies(lattice, template, cloud)
-        got = {frozenset(occ_.vertex_ids) for occ_ in copies.matches}
+        got = {frozenset(row) for row in copies.matches.tolist()}
         want = {
             frozenset(lattice.grid[nd] for nd in nodes_)
             for *_, nodes_ in oracles.brute_copy_scan(occ.tolist(), cells)

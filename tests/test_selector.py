@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 from geoggm import gmrf, harness
@@ -73,7 +74,7 @@ def test_find_copies_planted_ground_truth():
     tm = PatternTemplate.from_offsets(cells)
     copies = sel.find_copies(lat, tm, graph)
     assert len(copies.matches) == 13  # 12 planted copies plus the original
-    found_sets = {frozenset(occ.vertex_ids) for occ in copies.matches}
+    found_sets = {frozenset(row) for row in copies.matches.tolist()}
     assert found_sets == {frozenset(plant) for plant in graph.plants}
 
 
@@ -85,11 +86,9 @@ def test_find_copies_slot_alignment():
     tm = PatternTemplate.from_offsets(cells)
     copies = sel.find_copies(lat, tm, graph)
     # translations only: occurrence slot t must be plant slot t
-    for occ in copies.matches:
-        plant = next(
-            pl for pl in graph.plants if set(pl) == set(occ.vertex_ids)
-        )
-        assert tuple(occ.vertex_ids) == tuple(plant)
+    for row in copies.matches.tolist():
+        plant = next(pl for pl in graph.plants if set(pl) == set(row))
+        assert tuple(row) == tuple(plant)
 
 
 def test_find_copies_matches_brute_force_scan():
@@ -104,7 +103,7 @@ def test_find_copies_matches_brute_force_scan():
         cells = [(0, 0), (1, 2)] if trial % 2 else [(0, 0), (0, 1), (1, 1)]
         tm = PatternTemplate.from_offsets(cells)
         copies = sel.find_copies(lat, tm, cloud)
-        got = {frozenset(occ.vertex_ids) for occ in copies.matches}
+        got = {frozenset(row) for row in copies.matches.tolist()}
         oracle = oracles.brute_copy_scan(lat.grid >= 0, cells)
         want = {
             frozenset(lat.grid[nd] for nd in nodes_)
@@ -113,28 +112,97 @@ def test_find_copies_matches_brute_force_scan():
         assert got == want
 
 
+# rotation-symmetric patterns: their rotations coincide or cover the same
+# vertex sets, which the search must deduplicate
+SYMMETRIC = [
+    [(0, 0)],
+    [(0, 0), (1, 1)],
+    [(0, 0), (0, 1), (1, 0), (1, 1)],
+    [(0, 0), (0, 2), (2, 0), (2, 2)],
+    [(0, 1), (1, 0), (1, 2), (2, 1)],
+    [(0, 0), (0, 3)],
+]
+
+
+@st.composite
+def copy_inputs(draw):
+    """A random occupancy of an m x m unit lattice (vertex ids not in node
+    order, points on their nodes or jittered inside their cells), a pattern
+    and the window it came from, or a symmetric pattern with no window, and
+    a separation (whole numbers give center distances of exactly w)."""
+    m = draw(st.integers(4, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    occupied = rng.random((m, m)) < draw(st.floats(0.1, 0.6))
+    assume(occupied.any())
+    nodes = np.argwhere(occupied)[rng.permutation(int(occupied.sum()))]
+    jitter = rng.uniform(-0.45, 0.45, nodes.shape) * draw(st.sampled_from([0, 1]))
+    cloud = _Cloud(nodes + jitter, float(m))
+    lattice = quantize(cloud, 1.0)
+    window = None
+    if draw(st.booleans()):
+        # a k x k window that straddles the seam in both directions
+        k = draw(st.integers(2, m))
+        i, j = m - draw(st.integers(1, k - 1)), m - draw(st.integers(1, k - 1))
+        span = np.arange(k)
+        cells = lattice.grid[np.ix_((i + span) % m, (j + span) % m)]
+        ids = sorted(cells[cells >= 0].tolist())
+        if ids:
+            window = (ids, i, j)
+    if window is None:
+        template = PatternTemplate.from_offsets(draw(st.sampled_from(SYMMETRIC)))
+    else:
+        template = sel._window_template(lattice, *window)
+    w = draw(st.one_of(st.integers(1, m // 2).map(float), st.floats(1.0, m / 2)))
+    return lattice, cloud, template, window, w, rng
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(copy_inputs())
+def test_copy_stages_match_oracles(inputs):
+    """Copy search, separation and pooling give the earlier stages' rows in
+    the same order, the same centers, pooling subset and pooled matrix."""
+    lattice, cloud, template, window, w, rng = inputs
+    first = anchor = None
+    if window is not None:
+        first = window[0]
+        anchor = oracles.window_anchor(lattice, *window)
+    want = oracles.roll_find_copies(lattice, template, cloud.points, anchor)
+    got = sel.find_copies(lattice, template, cloud, first=first)
+    assert got.matches.shape == (len(want), template.size)
+    assert got.matches.tolist() == [list(o.vertex_ids) for o in want]
+    assert np.array_equal(got.centers,
+                          np.array([o.center for o in want]).reshape(-1, 2))
+    if not want:
+        return
+    sel.greedy_separated(got, w)
+    separated = oracles.scan_separated(want, lattice.torus, w)
+    assert got.separated == separated
+    n = int(rng.integers(1, 6))
+    samples = gmrf.SampleMatrix(
+        n=n, data=rng.standard_normal((n, len(cloud.points))), seed=0)
+    assert np.array_equal(
+        sel.pooled_scm(samples, got),
+        oracles.loop_pooled_scm(samples, want, separated, template.size))
+
+
+def _single_node_copies(centers, torus):
+    """One single-vertex occurrence per center, vertex i at center i."""
+    centers = np.asarray(centers, float)
+    return sel.CopySet(template=PatternTemplate.from_offsets([(0, 0)]),
+                       matches=np.arange(len(centers))[:, None],
+                       centers=centers, torus=torus)
+
+
 def test_greedy_separated_line_trace():
-    tm = PatternTemplate.from_offsets([(0, 0)])
-    torus = Torus(100.0)
-    matches = [
-        sel.Occurrence(position=(i, 0), rotation=0, vertex_ids=(i,),
-                       center=np.array([float(i), 0.0]))
-        for i in (0, 1, 2, 3)
-    ]
-    copies = sel.CopySet(template=tm, matches=matches, torus=torus)
+    copies = _single_node_copies([(float(i), 0.0) for i in range(4)],
+                                 Torus(100.0))
     sel.greedy_separated(copies, w=2.0)
-    assert copies.separated == [0, 2]
+    assert copies.separated == [0, 2]  # distance exactly w is accepted
 
 
 def test_greedy_separated_all_far_apart():
-    tm = PatternTemplate.from_offsets([(0, 0)])
-    torus = Torus(100.0)
-    matches = [
-        sel.Occurrence(position=(i, 0), rotation=0, vertex_ids=(i,),
-                       center=np.array([10.0 * i, 0.0]))
-        for i in range(5)
-    ]
-    copies = sel.CopySet(template=tm, matches=matches, torus=torus)
+    copies = _single_node_copies([(10.0 * i, 0.0) for i in range(5)],
+                                 Torus(100.0))
     sel.greedy_separated(copies, w=3.0)
     assert copies.separated == [0, 1, 2, 3, 4]
 
@@ -142,14 +210,8 @@ def test_greedy_separated_all_far_apart():
 def test_greedy_separated_maximality():
     rng = np.random.default_rng(5)
     torus = Torus(50.0)
-    tm = PatternTemplate.from_offsets([(0, 0)])
     centers = rng.uniform(0, 50, (40, 2))
-    matches = [
-        sel.Occurrence(position=(i, 0), rotation=0, vertex_ids=(i,),
-                       center=c)
-        for i, c in enumerate(centers)
-    ]
-    copies = sel.CopySet(template=tm, matches=matches, torus=torus)
+    copies = _single_node_copies(centers, torus)
     w = 7.0
     sel.greedy_separated(copies, w)
     acc = copies.separated
@@ -169,9 +231,8 @@ def test_pooled_scm_single_occurrence_is_plain_scm():
     X = rng.standard_normal((30, 6))
     samples = gmrf.SampleMatrix(n=30, data=X, seed=0)
     tm = PatternTemplate.from_offsets([(0, 0), (0, 1), (1, 0)])
-    occ = sel.Occurrence(position=(0, 0), rotation=0, vertex_ids=(1, 3, 5),
-                         center=np.zeros(2))
-    copies = sel.CopySet(template=tm, matches=[occ], separated=[0],
+    copies = sel.CopySet(template=tm, matches=np.array([[1, 3, 5]]),
+                         centers=np.zeros((1, 2)), separated=[0],
                          torus=Torus(10.0))
     got = sel.pooled_scm(samples, copies)
     want = X[:, [1, 3, 5]].T @ X[:, [1, 3, 5]] / 30
@@ -183,10 +244,9 @@ def test_pooled_scm_identical_occurrences_average_to_same():
     X = rng.standard_normal((10, 4))
     samples = gmrf.SampleMatrix(n=10, data=X, seed=0)
     tm = PatternTemplate.from_offsets([(0, 0), (0, 1)])
-    occ = sel.Occurrence(position=(0, 0), rotation=0, vertex_ids=(0, 2),
-                         center=np.zeros(2))
-    copies = sel.CopySet(template=tm, matches=[occ] * 4,
-                         separated=[0, 1, 2, 3], torus=Torus(10.0))
+    copies = sel.CopySet(template=tm, matches=np.array([[0, 2]] * 4),
+                         centers=np.zeros((4, 2)), separated=[0, 1, 2, 3],
+                         torus=Torus(10.0))
     got = sel.pooled_scm(samples, copies)
     want = X[:, [0, 2]].T @ X[:, [0, 2]] / 10
     assert np.allclose(got, want)
@@ -210,13 +270,12 @@ def test_pooled_alignment_rotation_consistency():
     X = model.sample(50, seed=1).data
     samples = gmrf.SampleMatrix(n=50, data=X, seed=1)
     tm = PatternTemplate.from_offsets([(0, 0), (0, 1), (1, 1), (1, 0)])
-    base = sel.Occurrence(position=(0, 0), rotation=0,
-                          vertex_ids=(0, 1, 2, 3), center=np.zeros(2))
-    turned = sel.Occurrence(position=(0, 0), rotation=1,
-                            vertex_ids=(3, 0, 1, 2), center=np.zeros(2))
-    both = sel.CopySet(template=tm, matches=[base, turned], separated=[0, 1],
+    base, turned = [0, 1, 2, 3], [3, 0, 1, 2]
+    both = sel.CopySet(template=tm, matches=np.array([base, turned]),
+                       centers=np.zeros((2, 2)), separated=[0, 1],
                        torus=Torus(10.0))
-    alone = sel.CopySet(template=tm, matches=[base], separated=[0],
+    alone = sel.CopySet(template=tm, matches=np.array([base]),
+                        centers=np.zeros((1, 2)), separated=[0],
                         torus=Torus(10.0))
     pooled_both = sel.pooled_scm(samples, both)
     pooled_alone = sel.pooled_scm(samples, alone)
@@ -290,6 +349,18 @@ def test_zero_one_loss_cases():
     extra[0, 2] = extra[2, 0] = 1
     assert sel.zero_one_loss(extra.tocsr(), c4) == (1, 0, 1)
     assert sel.zero_one_loss(complement, c4) == (1, 4, 2)
+    # explicitly stored zeros are not edges
+    coo = c4.tocoo()
+    stored_zero = sp.csr_matrix(
+        (np.r_[coo.data, 0, 0], (np.r_[coo.row, 0, 2], np.r_[coo.col, 2, 0])),
+        shape=(4, 4))
+    assert stored_zero.nnz == c4.nnz + 2
+    assert sel.zero_one_loss(stored_zero, c4) == (0, 0, 0)
+    assert sel.zero_one_loss(c4, stored_zero) == (0, 0, 0)
+    # only pairs u < v count: an entry below the diagonal alone is ignored
+    upper = sp.csr_matrix((np.ones(1, dtype=np.int8), ([0], [2])), shape=(4, 4))
+    assert sel.zero_one_loss(c4 + upper, c4) == (1, 0, 1)
+    assert sel.zero_one_loss(c4 + upper.T, c4) == (0, 0, 0)
 
 
 def test_zero_one_loss_shape_mismatch():
@@ -303,7 +374,7 @@ def test_candidate_squares_planted_pattern_first():
     )
     lat = sel._quantize_with_backoff(graph, eps)
     i, j, k, ids = next(sel._candidate_squares(lat, 20, 18))
-    template, _ = sel._window_template(lat, ids, i, j)
+    template = sel._window_template(lat, ids, i, j)
     assert set(template.offsets) == set(
         PatternTemplate.from_offsets(cells).offsets
     )
@@ -370,7 +441,7 @@ def test_candidate_squares_overlap_with_detected_allowed(monkeypatch):
             copies = arg
         elif kind == "detect":
             for idx in copies.separated:
-                img = [copies.matches[idx].vertex_ids[h] for h in arg]
+                img = copies.matches[idx, arg].tolist()
                 decided |= {v for v in img if ball(v) <= set(img)}
     assert decided == set(range(graph.p)) - set(report.undecided_vertices)
     assert report.iterations > 1 and skipped > 0 and overlapping > 0
@@ -578,16 +649,54 @@ def _unplanted(r, samples):
     return build
 
 
+def _check_copy_stages(monkeypatch):
+    """Check every copy search, separation and pooling of a run against
+    the earlier implementations in `oracles`."""
+    template_of, find = sel._window_template, sel.find_copies
+    separate, pool = sel.greedy_separated, sel.pooled_scm
+    state = {}
+
+    def spy_template(lattice, ids, i, j):
+        state["anchor"] = oracles.window_anchor(lattice, ids, i, j)
+        return template_of(lattice, ids, i, j)
+
+    def spy_find(lattice, template, graph, first=None):
+        copies = find(lattice, template, graph, first=first)
+        want = oracles.roll_find_copies(lattice, template, graph.points,
+                                        state["anchor"])
+        assert copies.matches.tolist() == [list(o.vertex_ids) for o in want]
+        assert np.array_equal(copies.centers, [o.center for o in want])
+        state["want"] = want
+        return copies
+
+    def spy_separate(copies, w):
+        separate(copies, w)
+        assert copies.separated == oracles.scan_separated(
+            state["want"], copies.torus, w)
+        return copies
+
+    def spy_pool(samples, copies):
+        out = pool(samples, copies)
+        assert np.array_equal(out, oracles.loop_pooled_scm(
+            samples, state["want"], copies.separated, copies.template.size))
+        return out
+
+    monkeypatch.setattr(sel, "_window_template", spy_template)
+    monkeypatch.setattr(sel, "find_copies", spy_find)
+    monkeypatch.setattr(sel, "greedy_separated", spy_separate)
+    monkeypatch.setattr(sel, "pooled_scm", spy_pool)
+
+
 @pytest.mark.parametrize("case", [
     _grid_exact, _grid_samples, _rotated_exact, _collision_backoff,
     _unplanted(5, True), _unplanted(8, False), _unplanted(12, False),
 ], ids=["grid_exact", "grid_samples", "rotated_exact", "collision_backoff",
         "unplanted_r5_samples", "unplanted_r8", "unplanted_r12"])
-def test_one_pass_matches_restart_loop(case):
+def test_one_pass_matches_restart_loop(monkeypatch, case):
     graph, params, kwargs = case()
-    new = sel.run_selection(graph, params, **kwargs)
-    _assert_same_reports(new, oracles.restart_selection(graph, params,
-                                                        **kwargs))
+    old = oracles.restart_selection(graph, params, **kwargs)
+    _check_copy_stages(monkeypatch)
+    _assert_same_reports(sel.run_selection(graph, params, **kwargs), old)
 
 
 @pytest.mark.parametrize("plant_frac, seed", [(0.3, 2), (0.6, 1)])
