@@ -112,17 +112,20 @@ def find_copies(lattice: Lattice, template: PatternTemplate, graph,
     no foreign vertex sits inside the pattern's convex hull (checked on
     the hull-interior cells).  Only placements that put the first pattern
     offset on an occupied node are tried; they wrap around the torus and
-    are scanned in row-major order, rotation by rotation.  Duplicates across rotations of symmetric
-    patterns are removed by occurrence vertex set; the occurrence whose
-    slot ids equal `first` (the window's own) is moved to the front.
+    are scanned in row-major order, rotation by rotation.  Duplicates
+    across rotations of symmetric patterns are removed by occurrence
+    vertex set.  `first`, the slot ids of an occurrence (the window's
+    own), is row 0 in its own slot order: every placement covering its
+    vertex set is dropped, also where the pattern is periodic on the
+    lattice and another placement lists the same vertices in another order.
     """
     grid = lattice.grid
     m = lattice.m
     if template.k > m:
         raise ValueError("pattern exceeds the lattice size")
     seen_patterns: set[frozenset] = set()
-    seen_sets: set[frozenset] = set()
-    rows: list[list[int]] = []
+    rows: list[list[int]] = [] if first is None else [list(first)]
+    seen_sets: set[frozenset] = {frozenset(ids) for ids in rows}
     for q in range(4):
         rot = template.rotated(q)
         key = frozenset(rot.offsets)
@@ -142,10 +145,6 @@ def find_copies(lattice: Lattice, template: PatternTemplate, graph,
             seen_sets.add(frozenset(ids))
             rows.append(ids)
     matches = np.array(rows, dtype=int).reshape(len(rows), template.size)
-    if first is not None:
-        hit = np.flatnonzero((matches == np.asarray(first)).all(axis=1))
-        if len(hit):
-            matches = np.vstack([matches[hit], np.delete(matches, hit, axis=0)])
     pts = graph.points[matches]
     torus = lattice.torus
     local = torus.delta(pts[:, :1], pts)
@@ -218,6 +217,9 @@ def default_k_cap(r: int, eta: float, eps: float, m: int) -> int:
     return max(3, min(cap, m))
 
 
+BAND_CELLS = 1 << 15
+
+
 def _candidate_squares(lattice: Lattice, r: int, k_cap: int):
     """Yield (i, j, k, ids) squares in row-major scan order.
 
@@ -225,31 +227,53 @@ def _candidate_squares(lattice: Lattice, r: int, k_cap: int):
     vertices; the anchor qualifies when that count is exactly r.  Windows
     are automatically contiguous: every vertex inside the square belongs
     to the window set.  `ids` are the window's vertices in increasing order.
+
+    The scan goes one band of anchor rows at a time and yields a band's
+    windows before it reads the next, so a caller that stops early pays
+    for the rows it reached times m, not for the m x m lattice.  A band
+    takes its rows of the prefix table of the 2 x 2 tiled occupancy, over
+    the m + K columns a window reaches (K = min(k_cap, m)), from the
+    running prefix row above it and a cumsum over its nb + K - 1 tiled
+    occupancy rows.  It has at least K rows, so the K extra prefix rows
+    at most double it, and about BAND_CELLS anchors, so the numpy calls
+    per k stay few.  An anchor's qualifying k depends on that anchor
+    alone, so the yields do not depend on the band height.
     """
     m = lattice.m
-    P = np.zeros((2 * m + 1, 2 * m + 1), dtype=np.int64)
-    P[1:, 1:] = np.tile(lattice.grid >= 0, (2, 2)).cumsum(0).cumsum(1)
-    reached = np.zeros((m, m), dtype=bool)
-    size = np.zeros((m, m), dtype=int)  # qualifying k per anchor, 0 if none
-    for k in range(1, min(k_cap, m) + 1):
-        # known defect: the P[i, j] corner is subtracted where
-        # inclusion-exclusion adds it, so counts run low off row/column 0
-        # and some anchors are never offered; the re-check below keeps
-        # every yielded window exact
-        cnt = (P[k:k + m, k:k + m] - P[:m, k:k + m]
-               - P[k:k + m, :m] - P[:m, :m])
-        newly = (cnt >= r) & ~reached
-        reached |= newly
-        size[newly & (cnt == r)] = k
-        if reached.all():
-            break
-    for i, j in np.argwhere(size).tolist():
-        k = int(size[i, j])
-        span = np.arange(k)
-        window = lattice.grid[np.ix_((i + span) % m, (j + span) % m)]
-        ids = window[window >= 0].tolist()
-        if len(ids) == r:
-            yield i, j, k, sorted(ids)
+    K = min(k_cap, m)
+    band = max(K, math.ceil(BAND_CELLS / m))
+    cols = np.arange(m + K - 1) % m
+    top = np.zeros(m + K, dtype=np.int64)  # prefix row at the band's first row
+    for i0 in range(0, m, band):
+        nb = min(band, m - i0)
+        rows = np.arange(i0, i0 + nb + K - 1) % m
+        P = np.zeros((nb + K, m + K), dtype=np.int64)
+        occupied = lattice.grid[np.ix_(rows, cols)] >= 0
+        P[1:, 1:] = occupied.cumsum(0).cumsum(1)
+        P += top
+        top = P[nb].copy()
+        reached = np.zeros((nb, m), dtype=bool)
+        size = np.zeros((nb, m), dtype=int)  # qualifying k, 0 if none
+        for k in range(1, K + 1):
+            # known defect: the P[i, j] corner is subtracted where
+            # inclusion-exclusion adds it, so counts run low off row/column 0
+            # and some anchors are never offered; the re-check below keeps
+            # every yielded window exact
+            cnt = (P[k:k + nb, k:k + m] - P[:nb, k:k + m]
+                   - P[k:k + nb, :m] - P[:nb, :m])
+            newly = (cnt >= r) & ~reached
+            reached |= newly
+            size[newly & (cnt == r)] = k
+            if reached.all():
+                break
+        for i, j in np.argwhere(size).tolist():
+            k = int(size[i, j])
+            i += i0
+            span = np.arange(k)
+            window = lattice.grid[np.ix_((i + span) % m, (j + span) % m)]
+            ids = window[window >= 0].tolist()
+            if len(ids) == r:
+                yield i, j, k, sorted(ids)
 
 
 def _window_template(lattice: Lattice, ids, i0: int, j0: int):
@@ -415,21 +439,21 @@ def run_selection(
             # window contains whole components: the local inversion is
             # exact with no truncation, so the whole window is the core
             h_slots = list(range(len(ids)))
-            zeta = math.inf
         else:
             h_slots = _middle_slots(lattice, ids, (i, j, k))
             if not h_slots:
                 continue
-            dist = graph_distance(
-                graph.adjacency, [ids[t] for t in h_slots], outside_ids
-            )
-            zeta = dist - 2 if math.isfinite(dist) else math.inf
         h_ids = [ids[t] for t in h_slots]
         # cheap viability screen: the window's own core must decide
-        # at least one new vertex, else copies cannot either
+        # at least one new vertex, else copies cannot either; it runs
+        # before the core's distance search, which it does not need
         h_set = set(h_ids)
         if not any(not detected[v] and markable(v, h_set) for v in h_ids):
             continue
+        zeta = math.inf
+        if math.isfinite(window_dist):
+            dist = graph_distance(graph.adjacency, h_ids, outside_ids)
+            zeta = dist - 2 if math.isfinite(dist) else math.inf
         if params.min_zeta is not None and zeta < params.min_zeta:
             continue
 

@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive: exhaustive permutations, gift
 wrapping, direct scans, plain recursions, Monte Carlo.  None of it shares
-code paths with the library, except two earlier shapes of library code
-kept as references for their rewrites:
+code paths with the library, except earlier shapes of library code kept
+as references for their rewrites:
 
 - `restart_selection`, the selection loop before the one-pass loop.  It
   reuses the library's stages (copy search, pooling, detection).
@@ -11,6 +11,9 @@ kept as references for their rewrites:
   stages before copy sets became index arrays: one `Occurrence` object
   per placement, one rolled m x m occupancy mask per pattern offset and
   hull-interior cell, and scalar toroidal distances.
+- `table_candidate_squares`, the candidate scan before it went band by
+  band: one (2m+1) x (2m+1) prefix table over the tiled lattice, every
+  anchor evaluated before the first window is yielded.
 """
 import itertools
 import math
@@ -229,12 +232,25 @@ def roll_find_copies(lattice, template, points, anchor=None):
     when every rolled occupancy mask of the rotated offsets is set there and
     every rolled mask of its hull-interior cells is clear.  Returns the
     Occurrence list in rotation-then-row-major order, deduplicated by vertex
-    set, with the rotation-0 placement at `anchor` moved to the front."""
+    set.  With `anchor`, the rotation-0 placement there comes first and
+    every later placement covering its vertex set is dropped."""
     grid = lattice.grid
     occ = grid >= 0
     m = lattice.m
     torus = lattice.torus
     seen_patterns, seen_sets, matches = set(), set(), []
+
+    def occurrence(i, j, q, ids):
+        seen_sets.add(frozenset(ids))
+        local = torus.delta(points[ids[0]], points[list(ids)])
+        center = torus.wrap(points[ids[0]] + local.mean(axis=0))
+        return Occurrence((i, j), q, ids, center)
+
+    if anchor is not None:
+        i, j = anchor
+        ids = tuple(int(grid[(i + a) % m, (j + b) % m])
+                    for a, b in template.offsets)
+        matches.append(occurrence(i, j, 0, ids))
     for q in range(4):
         rot = template.rotated(q)
         key = frozenset(rot.offsets)
@@ -250,17 +266,8 @@ def roll_find_copies(lattice, template, points, anchor=None):
         rows, cols = np.array(rot.offsets).T
         slot_ids = grid[(I[:, None] + rows) % m, (J[:, None] + cols) % m].tolist()
         for i, j, ids in zip(I.tolist(), J.tolist(), map(tuple, slot_ids)):
-            if frozenset(ids) in seen_sets:
-                continue
-            seen_sets.add(frozenset(ids))
-            local = torus.delta(points[ids[0]], points[list(ids)])
-            center = torus.wrap(points[ids[0]] + local.mean(axis=0))
-            matches.append(Occurrence((i, j), q, ids, center))
-    if anchor is not None:
-        for idx, occr in enumerate(matches):
-            if occr.position == tuple(anchor) and occr.rotation == 0:
-                matches.insert(0, matches.pop(idx))
-                break
+            if frozenset(ids) not in seen_sets:
+                matches.append(occurrence(i, j, q, ids))
     return matches
 
 
@@ -343,6 +350,33 @@ def candidate_squares_scan(nodes, m, r, cap):
                         out.append((i, j, k, ids))
                     break
     return out
+
+
+def table_candidate_squares(lattice, r, k_cap):
+    """The earlier `_candidate_squares`: one occupancy prefix table over
+    the 2 x 2 tiled lattice and every k up to the cap evaluated for all
+    anchors at once, then the qualifying windows in row-major order.  The
+    P[i, j] corner is subtracted, as the library does."""
+    m = lattice.m
+    P = np.zeros((2 * m + 1, 2 * m + 1), dtype=np.int64)
+    P[1:, 1:] = np.tile(lattice.grid >= 0, (2, 2)).cumsum(0).cumsum(1)
+    reached = np.zeros((m, m), dtype=bool)
+    size = np.zeros((m, m), dtype=int)
+    for k in range(1, min(k_cap, m) + 1):
+        cnt = (P[k:k + m, k:k + m] - P[:m, k:k + m]
+               - P[k:k + m, :m] - P[:m, :m])
+        newly = (cnt >= r) & ~reached
+        reached |= newly
+        size[newly & (cnt == r)] = k
+        if reached.all():
+            break
+    for i, j in np.argwhere(size).tolist():
+        k = int(size[i, j])
+        span = np.arange(k)
+        window = lattice.grid[np.ix_((i + span) % m, (j + span) % m)]
+        ids = window[window >= 0].tolist()
+        if len(ids) == r:
+            yield i, j, k, sorted(ids)
 
 
 def _target_candidate_squares(lattice, r, target, k_cap):
