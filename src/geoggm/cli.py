@@ -61,6 +61,10 @@ def _cmd_select(args) -> int:
         report = run_selection(graph, params, samples=samples)
     with open(args.out, "w") as fh:
         fh.write(report.to_json())
+    if len(report.undecided_vertices) == report.p:
+        print(f"warning: no vertex decided with r={params.r}, eps={report.eps:g}; "
+              "a vertex is decided only when its beta-ball fits in a window core "
+              "of r vertices", file=sys.stderr)
     print(f"wrote {args.out}: loss={report.zero_one_loss} "
           f"missed={report.missed_edges} false={report.false_edges} "
           f"undecided={len(report.undecided_vertices)}")

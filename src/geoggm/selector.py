@@ -9,6 +9,7 @@ to every copy.  Undecidable vertices are reported, never guessed.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -320,7 +321,7 @@ class SelectionReport:
     true_edge_count: int = 0
     iterations: int = 0
     achieved_zetas: list[float] = field(default_factory=list)
-    provenance: dict = field(default_factory=dict)
+    conflicting_pairs: int = 0
     low_confidence: bool = False
 
     @property
@@ -377,6 +378,37 @@ def _quantize_with_backoff(graph, eps: float):
     raise last
 
 
+def _balls_inside(ball_ptr, ball_idx, images) -> np.ndarray:
+    """Entry (n, t) is True iff the ball `ball_idx[ball_ptr[v]:ball_ptr[v + 1]]`
+    of v = images[n, t] lies inside row n of the (N, h) array `images`.
+    Every ball must hold at least one id (a beta-ball holds its vertex)."""
+    # membership keys row * p + vertex, with p = len(ball_ptr) - 1
+    verts = images.ravel()
+    row_key = np.repeat(np.arange(len(images)) * (len(ball_ptr) - 1), images.shape[1])
+    keys = np.sort(row_key + verts)
+    starts = ball_ptr[verts]
+    lens = ball_ptr[verts + 1] - starts
+    seg = np.cumsum(lens) - lens  # each ball's first entry in the gather
+    gather = np.arange(lens.sum()) + np.repeat(starts - seg, lens)
+    want = np.repeat(row_key, lens) + ball_idx[gather]
+    pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    return np.logical_and.reduceat(keys[pos] == want, seg).reshape(images.shape)
+
+
+def _resolve_pairs(codes, margins, declared):
+    """Resolve the decision rows of a run, one row per (copy, slot pair)
+    in the order they were made.  Each pair code keeps the row of largest
+    margin, the earliest on equal margins.  Returns the sorted codes kept
+    as declared edges and the number of codes whose rows disagree."""
+    order = np.lexsort((np.arange(len(codes)), -margins, codes))
+    codes, declared = codes[order], declared[order]
+    first = np.flatnonzero(np.diff(codes, prepend=-1))
+    agree = (np.logical_and.reduceat(declared, first)
+             == np.logical_or.reduceat(declared, first))
+    kept = first[declared[first]]
+    return codes[kept], int((~agree).sum())
+
+
 def run_selection(
     graph,
     params: SelectorParams,
@@ -393,16 +425,21 @@ def run_selection(
     decided only when all its potential neighbors (the beta-ball around
     it) were examined jointly with it, so every edge of a decided vertex
     has been explicitly ruled in or out.  Conflicting edge decisions keep
-    the larger detection margin.
+    the larger detection margin; on equal margins the earliest decision
+    stays.  `conflicting_pairs` counts the pairs with disagreeing decisions.
+
+    A vertex whose ball holds more than r vertices can never be decided,
+    so it counts as settled from the start, and any other vertex once it
+    is decided.  The run passes over windows of settled vertices, skips
+    the scan when every vertex is settled and stops once every vertex is:
+    such windows could not pass the viability screen.
     """
     t0 = time.perf_counter()
     p = graph.p
     beta = graph.params.beta
     if exact_cov:
         if model is None:
-            model = assemble_precision(
-                graph.adjacency, params.theta, graph.params.d
-            )
+            model = assemble_precision(graph.adjacency, params.theta, graph.params.d)
         elif model.p != p:
             raise ValueError("model dimension disagrees with the graph")
     elif samples is None:
@@ -417,23 +454,24 @@ def run_selection(
     )
     pts = graph.torus.wrap(graph.points)
     balls = cKDTree(pts, boxsize=graph.torus.s).query_ball_point(pts, beta)
-
-    detected = np.zeros(p, dtype=bool)
-    decisions: dict[tuple[int, int], tuple[bool, float, dict]] = {}
+    ball_len = np.fromiter(map(len, balls), dtype=np.intp, count=p)
+    ball_ptr = np.concatenate(([0], np.cumsum(ball_len)))
+    ball_idx = np.fromiter(itertools.chain.from_iterable(balls),
+                           dtype=np.intp, count=ball_ptr[-1])
+    # an image holds at most r vertices, so a larger ball is never marked
+    hopeless = ball_len > params.r
+    settled = hopeless.copy()
+    codes, margins, declared = [np.zeros(0, int)], [np.zeros(0)], [np.zeros(0, bool)]
     copies_found = copies_used = iterations = 0
     achieved_zetas: list[float] = []
     low_confidence = False
 
-    def markable(v: int, img_set: set) -> bool:
-        return all(u in img_set for u in balls[v])
-
-    for i, j, k, ids in _candidate_squares(lattice, params.r, k_cap):
-        if detected[ids].all():
+    windows = () if settled.all() else _candidate_squares(lattice, params.r, k_cap)
+    for i, j, k, ids in windows:
+        if settled[ids].all():
             continue
         template = _window_template(lattice, ids, i, j)
-        outside = np.ones(p, dtype=bool)
-        outside[list(ids)] = False
-        outside_ids = np.nonzero(outside)[0]
+        outside_ids = np.delete(np.arange(p), ids)
         window_dist = graph_distance(graph.adjacency, ids, outside_ids)
         if math.isinf(window_dist):
             # window contains whole components: the local inversion is
@@ -443,16 +481,15 @@ def run_selection(
             h_slots = _middle_slots(lattice, ids, (i, j, k))
             if not h_slots:
                 continue
-        h_ids = [ids[t] for t in h_slots]
+        h_ids = np.asarray(ids)[None, h_slots]
         # cheap viability screen: the window's own core must decide
         # at least one new vertex, else copies cannot either; it runs
         # before the core's distance search, which it does not need
-        h_set = set(h_ids)
-        if not any(not detected[v] and markable(v, h_set) for v in h_ids):
+        if not (_balls_inside(ball_ptr, ball_idx, h_ids) & ~settled[h_ids]).any():
             continue
         zeta = math.inf
         if math.isfinite(window_dist):
-            dist = graph_distance(graph.adjacency, h_ids, outside_ids)
+            dist = graph_distance(graph.adjacency, h_ids[0], outside_ids)
             zeta = dist - 2 if math.isfinite(dist) else math.inf
         if params.min_zeta is not None and zeta < params.min_zeta:
             continue
@@ -477,78 +514,35 @@ def run_selection(
         except DetectionSkipped:
             continue
 
-        images = copies.matches[np.ix_(copies.separated, h_slots)].tolist()
-        for occ_idx, img in zip(copies.separated, images):
-            img_set = set(img)
-            for a in range(len(img)):
-                for b in range(a + 1, len(img)):
-                    u, v = img[a], img[b]
-                    key = (u, v) if u < v else (v, u)
-                    margin_ab = abs(
-                        abs(j_hat[a, b]) - params.detect_threshold
-                    )
-                    declared = bool(adj_h[a, b])
-                    prev = decisions.get(key)
-                    if prev is None:
-                        decisions[key] = (
-                            declared,
-                            margin_ab,
-                            {"iteration": iterations, "copy": occ_idx,
-                             "conflicts": []},
-                        )
-                    elif margin_ab > prev[1]:
-                        conflicts = prev[2]["conflicts"]
-                        if declared != prev[0]:
-                            conflicts = conflicts + [
-                                {"iteration": prev[2]["iteration"],
-                                 "declared": prev[0],
-                                 "margin": prev[1]}
-                            ]
-                        decisions[key] = (
-                            declared,
-                            margin_ab,
-                            {"iteration": iterations, "copy": occ_idx,
-                             "conflicts": conflicts},
-                        )
-                    elif declared != prev[0]:
-                        prev[2]["conflicts"].append(
-                            {"iteration": iterations,
-                             "declared": declared,
-                             "margin": margin_ab}
-                        )
-            for v in img:
-                if not detected[v] and markable(v, img_set):
-                    detected[v] = True
+        # one row per (copy, slot pair), copies in pooling order and the
+        # slot pairs in row-major order within each copy
+        images = copies.matches[np.ix_(copies.separated, h_slots)]
+        a, b = np.triu_indices(len(h_slots), 1)
+        u, v = images[:, a], images[:, b]
+        codes.append((np.minimum(u, v) * p + np.maximum(u, v)).ravel())
+        margin = np.abs(np.abs(j_hat[a, b]) - params.detect_threshold)
+        margins.append(np.broadcast_to(margin, u.shape).ravel())
+        declared.append(np.broadcast_to(adj_h[a, b], u.shape).ravel())
+        settled[images[_balls_inside(ball_ptr, ball_idx, images)]] = True
         iterations += 1
         achieved_zetas.append(zeta)
-        if detected.all():
+        if settled.all():
             break
 
-    edges = sorted(k for k, (declared, _, _) in decisions.items() if declared)
-    rows = [u for u, v in edges] + [v for u, v in edges]
-    cols = [v for u, v in edges] + [u for u, v in edges]
-    e_hat = sp.csr_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(p, p)
-    )
+    edge_codes, conflicting = _resolve_pairs(
+        *map(np.concatenate, (codes, margins, declared)))
+    us, vs = np.divmod(edge_codes, p)  # us < vs: the upper triangle suffices
+    e_hat = sp.csr_matrix((np.ones(len(us), dtype=np.int8), (us, vs)), shape=(p, p))
     loss, missed, false = zero_one_loss(e_hat, graph.adjacency)
     return SelectionReport(
-        p=p,
-        n=samples.n if samples is not None else 0,
-        r=params.r,
-        eps=eps_used,
-        w=params.w,
-        theta=params.theta,
-        copies_found=copies_found,
-        copies_used=copies_used,
-        zero_one_loss=loss,
-        missed_edges=missed,
-        false_edges=false,
-        undecided_vertices=np.nonzero(~detected)[0].tolist(),
+        p=p, n=samples.n if samples is not None else 0, r=params.r,
+        eps=eps_used, w=params.w, theta=params.theta,
+        copies_found=copies_found, copies_used=copies_used,
+        zero_one_loss=loss, missed_edges=missed, false_edges=false,
+        undecided_vertices=np.nonzero(hopeless | ~settled)[0].tolist(),
         runtime_ms=1000.0 * (time.perf_counter() - t0),
-        edges=edges,
-        true_edge_count=graph.adjacency.nnz // 2,
-        iterations=iterations,
-        achieved_zetas=achieved_zetas,
-        provenance={f"{u},{v}": meta for (u, v), (_, _, meta) in decisions.items()},
+        edges=list(zip(us.tolist(), vs.tolist())),
+        true_edge_count=graph.adjacency.nnz // 2, iterations=iterations,
+        achieved_zetas=achieved_zetas, conflicting_pairs=conflicting,
         low_confidence=low_confidence,
     )

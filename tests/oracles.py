@@ -14,6 +14,10 @@ as references for their rewrites:
 - `table_candidate_squares`, the candidate scan before it went band by
   band: one (2m+1) x (2m+1) prefix table over the tiled lattice, every
   anchor evaluated before the first window is yielded.
+- `dict_resolve_pairs` and `set_balls_inside`, the decision transport
+  before it went to arrays: one dict entry per vertex pair, replaced
+  only by a strictly larger margin, and one set membership test per ball
+  vertex.
 """
 import itertools
 import math
@@ -540,10 +544,38 @@ def restart_selection(graph, params, samples=None, model=None,
         runtime_ms=0.0, edges=edges,
         true_edge_count=graph.adjacency.nnz // 2, iterations=iterations,
         achieved_zetas=achieved_zetas,
-        provenance={f"{u},{v}": meta
-                    for (u, v), (_, _, meta) in decisions.items()},
+        conflicting_pairs=sum(bool(meta["conflicts"])
+                              for _, _, meta in decisions.values()),
         low_confidence=low_confidence,
     )
+
+
+def dict_resolve_pairs(codes, margins, declared):
+    """The earlier decision transport: one dict entry per pair code, kept
+    until a row with a strictly larger margin replaces it.  Returns the
+    sorted codes kept as declared edges and the number of codes whose
+    rows disagree."""
+    decisions = {}
+    conflicted = set()
+    for code, margin, flag in zip(codes.tolist(), margins.tolist(),
+                                  declared.tolist()):
+        prev = decisions.get(code)
+        if prev is None or margin > prev[1]:
+            decisions[code] = (flag, margin)
+        if prev is not None and flag != prev[0]:
+            conflicted.add(code)
+    return (sorted(c for c, (flag, _) in decisions.items() if flag),
+            len(conflicted))
+
+
+def set_balls_inside(balls, images):
+    """The earlier marking test, one vertex at a time: is every vertex of
+    the ball inside the image's vertex set?"""
+    out = []
+    for img in images.tolist():
+        img_set = set(img)
+        out.append([all(u in img_set for u in balls[v]) for v in img])
+    return out
 
 
 def hellinger_quadrature_1d(var1, var2):

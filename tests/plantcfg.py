@@ -20,15 +20,19 @@ from geoggm.selector import SelectorParams
 
 
 def grid_plant_graph(p, theta, seed, r_t=20, grid=7, d=2, eps=0.06,
-                     master=123):
+                     master=123, count=None):
     """All-plants graph from an on-lattice pattern; p must be r_t * Q.
 
     Template points sit near (not on) their cells: a sub-cell jitter keeps
     all pairwise distances distinct so the greedy wiring has no ties,
     while nearest-node rounding still recovers the cell pattern exactly.
+    With `count` < p / r_t plants, the other vertices are a uniform
+    background kept out of edge range (beta + eps) of every plant.
     """
-    if p % r_t:
-        raise ValueError("p must be a multiple of the plant size")
+    if count is None:
+        if p % r_t:
+            raise ValueError("p must be a multiple of the plant size")
+        count = p // r_t
     s_nominal = math.sqrt(p)  # density 1 before rounding
     m = round(s_nominal / eps)
     s = m * eps
@@ -43,8 +47,9 @@ def grid_plant_graph(p, theta, seed, r_t=20, grid=7, d=2, eps=0.06,
     diameter = (grid - 1 + 0.4) * eps * math.sqrt(2.0)
     separation = beta + 2.0 * diameter + eps
     spec = gg.PlantSpec.from_array(
-        template, count=p // r_t, min_separation=separation,
-        clearance=0.0, rotate=False, snap=eps,
+        template, count=count, min_separation=separation,
+        clearance=0.0 if count * r_t == p else beta + eps, rotate=False,
+        snap=eps,
     )
     params = gg.FamilyParams(p=p, eta=eta, d=d, beta=beta, theta=theta,
                              seed=seed)

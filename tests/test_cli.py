@@ -82,6 +82,27 @@ def test_select_zero_theta_with_threshold(tmp_path):
     assert blob["edges"] == []
 
 
+def test_select_warns_when_nothing_decided(tmp_path, capsys):
+    """With the defaults (r = 2) every beta-ball of this graph holds 20
+    vertices, so no vertex can be decided: the run says so on stderr and
+    still writes its report."""
+    import plantcfg
+    from geoggm.graphgen import write_graph
+
+    graph, _, _ = plantcfg.grid_plant_graph(p=100, theta=0.11, seed=2)
+    graph_file = tmp_path / "g.txt"
+    write_graph(graph, graph_file)
+    report_file = tmp_path / "rep.json"
+    rc = cli.main(["select", "--graph", str(graph_file), "--exact-cov",
+                   "--out", str(report_file)])
+    assert rc == 0
+    blob = json.loads(report_file.read_text())
+    assert len(blob["undecided_vertices"]) == 100
+    err = capsys.readouterr().err
+    assert "no vertex decided" in err
+    assert "r=2" in err and f"eps={blob['eps']:g}" in err
+
+
 def test_bounds_table(capsys):
     rc = cli.main([
         "bounds", "--p", "100", "--eta", "1", "--d", "3", "--beta", "2.2",

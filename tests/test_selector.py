@@ -402,9 +402,11 @@ def _unplanted_sparse():
 
 
 def test_candidate_squares_overlap_with_detected_allowed(monkeypatch):
-    """run_selection passes over an offered window exactly when all its
-    vertices are decided; windows overlapping decided vertices are
-    examined.  Decisions are replayed from the copies and cores used."""
+    """run_selection passes over an offered window exactly when each of
+    its vertices is decided or hopeless (its beta-ball holds more than r
+    vertices, so it can never be decided); windows overlapping decided
+    vertices are examined.  Decisions are replayed from the copies and
+    cores used."""
     graph = _unplanted_sparse()
     events = []
     scan, template_of = sel._candidate_squares, sel._window_template
@@ -442,12 +444,13 @@ def test_candidate_squares_overlap_with_detected_allowed(monkeypatch):
     def ball(v):
         return set(tree.query_ball_point(graph.points[v] % s, graph.params.beta))
 
+    hopeless = {v for v in range(graph.p) if len(ball(v)) > params.r}
     decided: set = set()
     skipped = overlapping = 0
     for t, (kind, arg) in enumerate(events):
         if kind == "offer":
             examined = t + 1 < len(events) and events[t + 1][0] == "examine"
-            assert examined == (not set(arg) <= decided)
+            assert examined == (not set(arg) <= decided | hopeless)
             skipped += not examined
             overlapping += examined and bool(set(arg) & decided)
         elif kind == "copies":
@@ -458,6 +461,7 @@ def test_candidate_squares_overlap_with_detected_allowed(monkeypatch):
                 decided |= {v for v in img if ball(v) <= set(img)}
     assert decided == set(range(graph.p)) - set(report.undecided_vertices)
     assert report.iterations > 1 and skipped > 0 and overlapping > 0
+    assert hopeless and not hopeless & decided
 
 
 def test_candidate_squares_none_on_empty_region():
@@ -740,6 +744,23 @@ def _unplanted(r, samples):
     return build
 
 
+def _hopeless_background():
+    """Five plants in a dense background: every background vertex's
+    beta-ball holds more than r vertices, the plants' balls exactly r."""
+    theta = 0.4 / 12
+    graph, eps, _ = plantcfg.grid_plant_graph(p=200, theta=theta, seed=12,
+                                              d=12, count=5)
+    return graph, plantcfg.grid_plant_selector_params(theta, eps), {
+        "exact_cov": True}
+
+
+def _all_hopeless():
+    """The asymptotic defaults on a small planted graph: r = 2, and every
+    beta-ball holds 20 vertices."""
+    graph, _, _ = plantcfg.grid_plant_graph(p=100, theta=0.11, seed=2)
+    return graph, sel.default_params(100, 0.11), {"exact_cov": True}
+
+
 def _check_copy_stages(monkeypatch):
     """Check every copy search, separation and pooling of a run against
     the earlier implementations in `oracles`."""
@@ -781,13 +802,94 @@ def _check_copy_stages(monkeypatch):
 @pytest.mark.parametrize("case", [
     _grid_exact, _grid_samples, _rotated_exact, _collision_backoff,
     _unplanted(5, True), _unplanted(8, False), _unplanted(12, False),
+    _hopeless_background, _all_hopeless,
 ], ids=["grid_exact", "grid_samples", "rotated_exact", "collision_backoff",
-        "unplanted_r5_samples", "unplanted_r8", "unplanted_r12"])
+        "unplanted_r5_samples", "unplanted_r8", "unplanted_r12",
+        "hopeless_background", "all_hopeless"])
 def test_one_pass_matches_restart_loop(monkeypatch, case):
     graph, params, kwargs = case()
     old = oracles.restart_selection(graph, params, **kwargs)
     _check_copy_stages(monkeypatch)
     _assert_same_reports(sel.run_selection(graph, params, **kwargs), old)
+
+
+@pytest.mark.parametrize("case, offered", [
+    (_hopeless_background, 1), (_all_hopeless, 0),
+], ids=["hopeless_background", "all_hopeless"])
+def test_run_selection_stops_when_only_hopeless_vertices_remain(
+        monkeypatch, case, offered):
+    """A vertex whose beta-ball holds more than r vertices is never
+    decided.  The scan stops once every other vertex is (here after the
+    first window), and is never drawn when there is no other vertex."""
+    graph, params, kwargs = case()
+    pts = graph.torus.wrap(graph.points)
+    balls = cKDTree(pts, boxsize=graph.torus.s).query_ball_point(
+        pts, graph.params.beta)
+    hopeless = [v for v, ball in enumerate(balls) if len(ball) > params.r]
+    scan, yielded = sel._candidate_squares, []
+
+    def spy_scan(*args):
+        for square in scan(*args):
+            yielded.append(square)
+            yield square
+
+    monkeypatch.setattr(sel, "_candidate_squares", spy_scan)
+    report = sel.run_selection(graph, params, **kwargs)
+    assert len(hopeless) == 100  # half of p = 200, all of p = 100
+    assert len(yielded) == offered
+    assert report.undecided_vertices == hopeless
+
+
+@st.composite
+def pair_rows(draw):
+    """Decision rows with repeated pair codes, exactly tied margins and
+    disagreeing flags."""
+    n = draw(st.integers(0, 60))
+    row = st.tuples(
+        st.integers(0, draw(st.integers(0, 15))),
+        st.one_of(st.sampled_from([0.0, 0.125, 0.5, 2.0]),
+                  st.floats(0.0, 4.0)),
+        st.booleans())
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    codes, margins, declared = zip(*rows) if rows else ((), (), ())
+    return (np.array(codes, dtype=np.int64), np.array(margins, dtype=float),
+            np.array(declared, dtype=bool))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(pair_rows())
+def test_resolve_pairs_matches_dict_loop(rows):
+    codes, conflicting = sel._resolve_pairs(*rows)
+    want_codes, want_conflicting = oracles.dict_resolve_pairs(*rows)
+    assert codes.tolist() == want_codes
+    assert conflicting == want_conflicting
+
+
+@st.composite
+def balls_and_images(draw):
+    """Random balls over p vertices, each holding its own vertex, and
+    overlapping images: rows of distinct vertices drawn from the same p."""
+    p = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    extra = draw(st.integers(0, p))
+    balls = []
+    for v in range(p):
+        others = rng.permutation(p)[:rng.integers(0, extra + 1)]
+        balls.append(rng.permutation(np.union1d([v], others)).tolist())
+    h = draw(st.integers(1, p))
+    images = np.array([rng.permutation(p)[:h]
+                       for _ in range(draw(st.integers(1, 6)))])
+    return balls, images
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(balls_and_images())
+def test_balls_inside_matches_set_loop(inputs):
+    balls, images = inputs
+    ptr = np.concatenate(([0], np.cumsum([len(b) for b in balls])))
+    idx = np.array([u for ball in balls for u in ball], dtype=np.intp)
+    got = sel._balls_inside(ptr, idx, images)
+    assert got.tolist() == oracles.set_balls_inside(balls, images)
 
 
 @pytest.mark.parametrize("plant_frac, seed", [(0.3, 2), (0.6, 1)])
@@ -812,4 +914,5 @@ def test_one_pass_matches_restart_loop_in_harness(monkeypatch, plant_frac,
     assert len(harness.run_experiment(cfg)) == 1
     (new, old), = reports
     assert new.iterations > 1 and new.undecided_vertices
+    assert new.conflicting_pairs > 0
     _assert_same_reports(new, old)
