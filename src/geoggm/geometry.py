@@ -181,34 +181,33 @@ def convex_hull(points) -> np.ndarray:
     return np.array(hull)
 
 
-def _segment_distance(q, a, b) -> float:
-    ab = (b[0] - a[0], b[1] - a[1])
-    aq = (q[0] - a[0], q[1] - a[1])
-    denom = ab[0] * ab[0] + ab[1] * ab[1]
-    if denom == 0.0:
-        return math.hypot(*aq)
-    t = min(1.0, max(0.0, (aq[0] * ab[0] + aq[1] * ab[1]) / denom))
-    return math.hypot(aq[0] - t * ab[0], aq[1] - t * ab[1])
-
-
-def point_in_hull(point, hull: np.ndarray, tol: float) -> bool:
-    """Membership in a convex hull; points on the boundary count as inside.
+def point_in_hull(points, hull: np.ndarray, tol: float) -> np.ndarray:
+    """Membership of each of the (N, 2) `points` in a convex hull; points
+    on the boundary count as inside.
 
     `hull` is counterclockwise as produced by convex_hull.  `tol` is an
-    absolute distance tolerance.
+    absolute distance tolerance: a 1-point hull holds the points within
+    `tol` of it, a 2-point hull those within `tol` of its segment, and a
+    polygon those not more than `tol` outside any edge.
     """
-    q = (float(point[0]), float(point[1]))
+    q = np.asarray(points, dtype=float).reshape(-1, 2).T
     h = np.asarray(hull, dtype=float)
     if len(h) == 1:
-        return math.hypot(q[0] - h[0][0], q[1] - h[0][1]) <= tol
+        return np.hypot(q[0] - h[0][0], q[1] - h[0][1]) <= tol
     if len(h) == 2:
-        return _segment_distance(q, h[0], h[1]) <= tol
+        a, b = h
+        ab = (b[0] - a[0], b[1] - a[1])
+        aq = (q[0] - a[0], q[1] - a[1])
+        denom = ab[0] * ab[0] + ab[1] * ab[1]
+        t = 0.0 if denom == 0.0 else np.clip(
+            (aq[0] * ab[0] + aq[1] * ab[1]) / denom, 0.0, 1.0)
+        return np.hypot(aq[0] - t * ab[0], aq[1] - t * ab[1]) <= tol
+    inside = np.ones(q.shape[1], dtype=bool)
     for i in range(len(h)):
         a, b = h[i], h[(i + 1) % len(h)]
         edge = math.hypot(b[0] - a[0], b[1] - a[1])
-        if _cross(a, b, q) < -tol * edge:
-            return False
-    return True
+        inside &= ~(_cross(a, b, q) < -tol * edge)
+    return inside
 
 
 def is_contiguous(subset_ids, graph, tol: float | None = None) -> bool:
@@ -233,14 +232,8 @@ def is_contiguous(subset_ids, graph, tol: float | None = None) -> bool:
     span = sub.max(axis=0) - sub.min(axis=0)
     if (span > 0.5 * torus.s).any():
         raise ValueError("subset spans more than half the torus; not local")
-    hull = convex_hull(sub)
-    members = set(ids)
-    for v in range(len(pts)):
-        if v in members:
-            continue
-        if point_in_hull(rel[v], hull, tol):
-            return False
-    return True
+    others = np.delete(rel, ids, axis=0)
+    return not point_in_hull(others, convex_hull(sub), tol).any()
 
 
 @dataclass(frozen=True)
@@ -294,18 +287,12 @@ class PatternTemplate:
         A placement is a valid occurrence only if these cells are empty:
         an occupied one would put a foreign vertex inside the hull.
         """
-        hull = convex_hull(np.array(self.offsets, dtype=float))
-        occupied = set(self.offsets)
-        rmax = max(a for a, _ in self.offsets)
-        cmax = max(b for _, b in self.offsets)
-        cells = []
-        for a in range(rmax + 1):
-            for b in range(cmax + 1):
-                if (a, b) in occupied:
-                    continue
-                if point_in_hull((a, b), hull, 1e-9):
-                    cells.append((a, b))
-        return tuple(cells)
+        offs = np.array(self.offsets)
+        occupied = np.zeros(offs.max(axis=0) + 1, dtype=bool)
+        occupied[tuple(offs.T)] = True
+        cells = np.argwhere(~occupied)  # row-major
+        inside = point_in_hull(cells, convex_hull(offs.astype(float)), 1e-9)
+        return tuple(map(tuple, cells[inside].tolist()))
 
 
 @dataclass

@@ -21,7 +21,7 @@ import numpy as np
 from . import bounds
 from .geometry import snap_eps
 from .graphgen import FamilyParams, PlantSpec, generate
-from .gmrf import assemble_precision
+from .gmrf import NotPositiveDefinite, assemble_precision
 from .selector import SelectorParams, run_selection
 
 _LIST_KEYS = {"p", "n", "theta", "d", "eta", "beta", "seeds"}
@@ -215,14 +215,19 @@ class RunRecord:
 
 
 def run_experiment(cfg: ExperimentConfig, log=None) -> list[RunRecord]:
-    """Execute the sweep; invalid grid points are skipped with a logged
-    reason, never aborting the run.  Deterministic given the config."""
+    """Execute the sweep; invalid grid points (rejected parameters, failed
+    placement, lattice collisions) are skipped with a logged reason.  A
+    failed factorization is raised: with d * theta < 1/2 the precision is
+    positive definite, so it marks a fault.  Deterministic given the
+    config."""
     records: list[RunRecord] = []
     grid = itertools.product(cfg.p, cfg.n, cfg.theta, cfg.d, cfg.eta, cfg.beta)
     for p, n, theta, d, eta, beta in grid:
         for seed in cfg.seeds:
             try:
                 record = _run_one(cfg, p, n, theta, d, eta, beta, seed)
+            except (np.linalg.LinAlgError, NotPositiveDefinite):
+                raise
             except (ValueError, RuntimeError) as exc:
                 if log is not None:
                     log(f"skipping p={p} n={n} theta={theta} d={d} eta={eta} "

@@ -113,12 +113,16 @@ def find_copies(lattice: Lattice, template: PatternTemplate, graph,
     no foreign vertex sits inside the pattern's convex hull (checked on
     the hull-interior cells).  Only placements that put the first pattern
     offset on an occupied node are tried; they wrap around the torus and
-    are scanned in row-major order, rotation by rotation.  Duplicates
-    across rotations of symmetric patterns are removed by occurrence
-    vertex set.  `first`, the slot ids of an occurrence (the window's
-    own), is row 0 in its own slot order: every placement covering its
-    vertex set is dropped, also where the pattern is periodic on the
-    lattice and another placement lists the same vertices in another order.
+    are scanned in row-major order, rotation by rotation.  The placements
+    are filtered slot by slot: each later offset is looked up only at the
+    placements whose earlier offsets were all occupied, and the hull
+    interior is read only at the placements that survive every slot.
+    Duplicates across rotations of symmetric patterns are removed by
+    occurrence vertex set.  `first`, the slot ids of an occurrence (the
+    window's own), is row 0 in its own slot order: every placement
+    covering its vertex set is dropped, also where the pattern is periodic
+    on the lattice and another placement lists the same vertices in
+    another order.
     """
     grid = lattice.grid
     m = lattice.m
@@ -133,14 +137,21 @@ def find_copies(lattice: Lattice, template: PatternTemplate, graph,
         if key in seen_patterns:
             continue
         seen_patterns.add(key)
-        # placements whose first offset lands on an occupied node; the
-        # pattern offsets come first in `cells`, the hull interior after
+        # one placement per occupied node under the first offset, so the
+        # codes i * m + j are distinct; sorting them orders rows row-major
+        (a0, b0), *later = rot.offsets
+        i, j = np.divmod(np.sort((lattice.nodes[:, 0] - a0) % m * m
+                                 + (lattice.nodes[:, 1] - b0) % m), m)
+        for a, b in later:
+            hit = grid[(i + a) % m, (j + b) % m] >= 0
+            i, j = i[hit], j[hit]
+        if not len(i):
+            continue
+        # the pattern offsets come first in `cells`, the hull interior after
         cells = np.array(rot.offsets + rot.interior_cells())
-        at = np.unique((lattice.nodes - cells[0]) % m, axis=0)
-        found = grid[(at[:, :1] + cells[:, 0]) % m, (at[:, 1:] + cells[:, 1]) % m]
-        slot_ids = found[:, :rot.size]
-        keep = (slot_ids >= 0).all(axis=1) & (found[:, rot.size:] < 0).all(axis=1)
-        for ids in slot_ids[keep].tolist():
+        found = grid[(i[:, None] + cells[:, 0]) % m, (j[:, None] + cells[:, 1]) % m]
+        keep = (found[:, rot.size:] < 0).all(axis=1)
+        for ids in found[keep, :rot.size].tolist():
             if frozenset(ids) in seen_sets:
                 continue
             seen_sets.add(frozenset(ids))

@@ -10,7 +10,9 @@ as references for their rewrites:
 - `roll_find_copies`, `scan_separated` and `loop_pooled_scm`, the copy
   stages before copy sets became index arrays: one `Occurrence` object
   per placement, one rolled m x m occupancy mask per pattern offset and
-  hull-interior cell, and scalar toroidal distances.
+  hull-interior cell, and scalar toroidal distances.  The hull interior
+  comes from `loop_interior_cells` (gift wrapping and one membership test
+  per cell), so the copy search is compared with code it does not share.
 - `table_candidate_squares`, the candidate scan before it went band by
   band: one (2m+1) x (2m+1) prefix table over the tiled lattice, every
   anchor evaluated before the first window is yielded.
@@ -193,6 +195,21 @@ def rotate_cells(cells, quarter_turns):
     return [(a - r0, b - c0) for a, b in out]
 
 
+def loop_interior_cells(cells):
+    """Unoccupied cells of the bounding box of normalized `cells` inside
+    their gift-wrapped hull, one membership test per cell, row-major."""
+    hull = gift_wrap_hull(np.asarray(cells, float))
+    rmax = max(a for a, _ in cells)
+    cmax = max(b for _, b in cells)
+    return [
+        (a, b)
+        for a in range(rmax + 1)
+        for b in range(cmax + 1)
+        if (a, b) not in set(cells)
+        and point_in_polygon(np.array([a, b], float), hull, 1e-9)
+    ]
+
+
 def brute_copy_scan(occupancy, cells, dedup=True):
     """All (position, rotation) placements where the rotated cell set is
     occupied and no foreign occupied node lies inside its hull.  With
@@ -202,16 +219,7 @@ def brute_copy_scan(occupancy, cells, dedup=True):
     seen = set()
     for q in range(4):
         rot = rotate_cells(cells, q)
-        hull = gift_wrap_hull(np.asarray(rot, float))
-        rmax = max(a for a, _ in rot)
-        cmax = max(b for _, b in rot)
-        interior = [
-            (a, b)
-            for a in range(rmax + 1)
-            for b in range(cmax + 1)
-            if (a, b) not in set(rot)
-            and point_in_polygon(np.array([a, b], float), hull, 1e-9)
-        ]
+        interior = loop_interior_cells(rot)
         for i in range(m):
             for j in range(m):
                 nodes = [((i + a) % m, (j + b) % m) for a, b in rot]
@@ -234,10 +242,12 @@ Occurrence = namedtuple("Occurrence", "position rotation vertex_ids center")
 def roll_find_copies(lattice, template, points, anchor=None):
     """The earlier `find_copies`: a placement (i, j) of rotation q matches
     when every rolled occupancy mask of the rotated offsets is set there and
-    every rolled mask of its hull-interior cells is clear.  Returns the
-    Occurrence list in rotation-then-row-major order, deduplicated by vertex
-    set.  With `anchor`, the rotation-0 placement there comes first and
-    every later placement covering its vertex set is dropped."""
+    every rolled mask of its hull-interior cells is clear.  The interior
+    comes from `loop_interior_cells`, not from the library's template.
+    Returns the Occurrence list in rotation-then-row-major order,
+    deduplicated by vertex set.  With `anchor`, the rotation-0 placement
+    there comes first and every later placement covering its vertex set is
+    dropped."""
     grid = lattice.grid
     occ = grid >= 0
     m = lattice.m
@@ -264,7 +274,7 @@ def roll_find_copies(lattice, template, points, anchor=None):
         present = np.ones((m, m), dtype=bool)
         for a, b in rot.offsets:
             present &= np.roll(occ, (-a, -b), axis=(0, 1))
-        for a, b in rot.interior_cells():
+        for a, b in loop_interior_cells(rot.offsets):
             present &= ~np.roll(occ, (-a, -b), axis=(0, 1))
         I, J = np.nonzero(present)
         rows, cols = np.array(rot.offsets).T

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from geoggm import bounds, harness
+from geoggm import bounds, gmrf, harness
 
 
 CONFIG = """
@@ -88,6 +88,18 @@ def test_run_experiment_skips_invalid_points(capsys):
     records = harness.run_experiment(cfg, log=msgs.append)
     assert len(records) == 1
     assert len(msgs) == 1 and "skipping" in msgs[0]
+
+
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError,
+                                   gmrf.NotPositiveDefinite])
+def test_run_experiment_raises_factorization_failure(monkeypatch, error):
+    def singular(*args, **kwargs):
+        raise error("singular")
+
+    monkeypatch.setattr(harness, "assemble_precision", singular)
+    cfg = harness.parse_config(tuned_config())
+    with pytest.raises(error):
+        harness.run_experiment(cfg)
 
 
 def test_emit_outputs_and_round_trip(tmp_path):
