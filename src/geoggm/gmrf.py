@@ -74,7 +74,7 @@ class PrecisionModel:
     The factorization is an LDL^T obtained from SuperLU in symmetric mode
     with diagonal pivoting; it certifies positive definiteness, drives the
     sampler, and answers covariance-submatrix queries by linear solves.
-    The full covariance is materialized lazily and only on request.
+    The full covariance is solved for only on request.
     """
 
     def __init__(self, E: sp.spmatrix, theta: float, d: int):
@@ -96,7 +96,6 @@ class PrecisionModel:
         self.E = E
         self.J = (sp.eye(self.p, format="csr") + theta * E).tocsc()
         self._factorize()
-        self._theta_cache: np.ndarray | None = None
 
     def _factorize(self):
         try:
@@ -118,16 +117,13 @@ class PrecisionModel:
         self._scatter = np.argsort(self._lu.perm_c)
 
     def covariance(self) -> np.ndarray:
-        """Dense inverse of J, cached.  Only sensible for moderate p."""
-        if self._theta_cache is None:
-            self._theta_cache = self._lu.solve(np.eye(self.p))
-        return self._theta_cache
+        """Dense inverse of J, by p linear solves.  Only sensible for
+        moderate p."""
+        return self._lu.solve(np.eye(self.p))
 
     def covariance_submatrix(self, ids) -> np.ndarray:
         """Rows/columns `ids` of the covariance, via |ids| linear solves."""
         idx = np.asarray(ids, dtype=int)
-        if self._theta_cache is not None:
-            return self._theta_cache[np.ix_(idx, idx)]
         rhs = np.zeros((self.p, len(idx)))
         rhs[idx, np.arange(len(idx))] = 1.0
         cols = self._lu.solve(rhs)
@@ -230,31 +226,29 @@ def sym_kl(J1, J2) -> float:
     )
 
 
-def graph_distance(E: sp.spmatrix, from_ids, to_ids) -> float:
-    """BFS edge distance between two vertex sets; inf when unreachable."""
+def graph_distance(E: sp.spmatrix, from_ids, within) -> float:
+    """BFS edge distance from `from_ids` to the nearest vertex outside
+    `within`: 0 when a vertex of `from_ids` already lies outside, inf when
+    `from_ids` is empty or no path leaves `within`.  The search holds sets
+    of `within` and of the vertices it visits, all inside `within`, so its
+    memory does not grow with the number of vertices of E."""
     A = sp.csr_matrix(E)
-    src = [int(v) for v in from_ids]
-    dst = set(int(v) for v in to_ids)
-    if not src or not dst:
-        return math.inf
-    if dst & set(src):
+    inside = {int(v) for v in within}
+    frontier = {int(v) for v in from_ids}
+    if not frontier <= inside:
         return 0
-    n = A.shape[0]
-    dist = np.full(n, -1, dtype=int)
-    frontier = src
-    for v in frontier:
-        dist[v] = 0
+    seen = set(frontier)
     level = 0
     while frontier:
         level += 1
-        nxt = []
+        nxt = set()
         for v in frontier:
-            for u in A.indices[A.indptr[v]:A.indptr[v + 1]]:
-                if dist[u] < 0:
-                    dist[u] = level
-                    if u in dst:
-                        return level
-                    nxt.append(int(u))
+            for u in A.indices[A.indptr[v]:A.indptr[v + 1]].tolist():
+                if u not in inside:
+                    return level
+                if u not in seen:
+                    seen.add(u)
+                    nxt.add(u)
         frontier = nxt
     return math.inf
 
@@ -263,22 +257,23 @@ def cdp_check(model: PrecisionModel, block: BlockIndex, zeta: int):
     """Correlation-decay certificate for a nested block pair.
 
     `zeta` counts the leading terms of the walk expansion through F \\ H
-    that vanish; it is certified when the BFS edge distance between H and
-    the complement of F is at least zeta + 2.  Returns the measured
-    spectral norm of J_{H,R} J_R^{-1} J_{R,V} (R = F \\ H, V = complement
-    of F) together with the bound (theta*d)^(zeta+2).
+    that vanish; it is certified when the BFS edge distance from H to the
+    nearest vertex outside F, `graph_distance(E, H, F)`, is at least
+    zeta + 2.  Returns the measured spectral norm of J_{H,R} J_R^{-1} J_{R,V}
+    (R = F \\ H, V = complement of F) together with the bound
+    (theta*d)^(zeta+2).
     """
     if zeta < 0:
         raise ValueError("zeta must be nonnegative")
-    hset, fset = set(block.H), set(block.F)
-    vidx = [v for v in range(model.p) if v not in fset]
-    dist = graph_distance(model.E, block.H, vidx)
+    dist = graph_distance(model.E, block.H, block.F)
     if dist < zeta + 2:
         raise ValueError(
-            f"graph distance {dist} between H and the complement certifies "
+            f"graph distance {dist} from H to the outside of F certifies "
             f"only zeta = {max(0, int(dist) - 2)}, below requested {zeta}"
         )
     rhs = (model.theta * model.d) ** (zeta + 2)
+    hset, fset = set(block.H), set(block.F)
+    vidx = [v for v in range(model.p) if v not in fset]
     ridx = [v for v in block.F if v not in hset]
     if not ridx or not vidx:
         return 0.0, rhs

@@ -238,7 +238,7 @@ def validate_family(g: GeoGraph) -> ValidationReport:
     )
 
 
-def _place_anchors(rng, spec: PlantSpec, s: float, torus: Torus) -> np.ndarray:
+def _place_anchors(rng, spec: PlantSpec, s: float) -> np.ndarray:
     anchors = np.empty((spec.count, 2))
     placed = 0
     attempts = 0
@@ -279,7 +279,7 @@ def generate(params: FamilyParams, plant: PlantSpec | None = None) -> GeoGraph:
         n_planted = plant.count * plant.size
         if n_planted > params.p:
             raise ValueError("planted vertices exceed p")
-        anchors = _place_anchors(rng, spec=plant, s=params.s, torus=torus)
+        anchors = _place_anchors(rng, spec=plant, s=params.s)
         blocks = []
         for c in anchors:
             q = int(rng.integers(4)) if plant.rotate else 0

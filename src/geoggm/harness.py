@@ -147,7 +147,7 @@ def _plant_template_cells(r_t: int, grid: int, master: int) -> list[tuple[int, i
     return cells[:r_t]
 
 
-def build_plant_spec(cfg: ExperimentConfig, p: int, eta: float, beta: float,
+def build_plant_spec(cfg: ExperimentConfig, p: int, beta: float,
                      eps: float) -> PlantSpec | None:
     """Planting recipe for one sweep point, or None when not configured.
 
@@ -247,7 +247,7 @@ def _run_one(cfg, p, n, theta, d, eta, beta, seed) -> RunRecord:
     # snap the pitch to a divisor of this sweep point's torus side so that
     # planted copies land exactly on the selection lattice at every p
     eps = snap_eps(eps, params.s)
-    plant = build_plant_spec(cfg, p, eta, beta, eps)
+    plant = build_plant_spec(cfg, p, beta, eps)
     graph = generate(params, plant)
     model = assemble_precision(graph.adjacency, theta, d)
     samples = model.sample(n, sample_seed)

@@ -205,7 +205,7 @@ def pooled_scm(samples: SampleMatrix, copies: CopySet) -> np.ndarray:
     return out
 
 
-def detect_edges(S: np.ndarray, h_slots, theta: float, threshold: float):
+def detect_edges(S: np.ndarray, h_slots, threshold: float):
     """Read edges among the inner slots from the pooled covariance.
 
     Inverts the Schur complement of the inner block and declares an edge
@@ -482,26 +482,21 @@ def run_selection(
         if settled[ids].all():
             continue
         template = _window_template(lattice, ids, i, j)
-        outside_ids = np.delete(np.arange(p), ids)
-        window_dist = graph_distance(graph.adjacency, ids, outside_ids)
-        if math.isinf(window_dist):
-            # window contains whole components: the local inversion is
-            # exact with no truncation, so the whole window is the core
-            h_slots = list(range(len(ids)))
-        else:
-            h_slots = _middle_slots(lattice, ids, (i, j, k))
-            if not h_slots:
-                continue
+        # a closed window, one no edge leaves, holds whole components: the
+        # local inversion is exact with no truncation, so the whole window
+        # is the core; otherwise the core is the middle of the square, which
+        # grows to the whole square, and so to the whole window, if need be
+        closed = math.isinf(graph_distance(graph.adjacency, ids, ids))
+        h_slots = (list(range(len(ids))) if closed
+                   else _middle_slots(lattice, ids, (i, j, k)))
         h_ids = np.asarray(ids)[None, h_slots]
         # cheap viability screen: the window's own core must decide
         # at least one new vertex, else copies cannot either; it runs
         # before the core's distance search, which it does not need
         if not (_balls_inside(ball_ptr, ball_idx, h_ids) & ~settled[h_ids]).any():
             continue
-        zeta = math.inf
-        if math.isfinite(window_dist):
-            dist = graph_distance(graph.adjacency, h_ids[0], outside_ids)
-            zeta = dist - 2 if math.isfinite(dist) else math.inf
+        zeta = (math.inf if closed
+                else graph_distance(graph.adjacency, h_ids[0], ids) - 2)
         if params.min_zeta is not None and zeta < params.min_zeta:
             continue
 
@@ -511,17 +506,14 @@ def run_selection(
         copies_used += len(copies.separated)
         if len(copies.separated) == 1 and not exact_cov:
             low_confidence = True
+        # row 0 is the window itself, which the separation always accepts,
+        # so the pooling subset is never empty
         if exact_cov:
             S = model.covariance_submatrix(list(ids))
         else:
-            try:
-                S = pooled_scm(samples, copies)
-            except ValueError:
-                continue
+            S = pooled_scm(samples, copies)
         try:
-            adj_h, j_hat = detect_edges(
-                S, h_slots, params.theta, params.detect_threshold
-            )
+            adj_h, j_hat = detect_edges(S, h_slots, params.detect_threshold)
         except DetectionSkipped:
             continue
 

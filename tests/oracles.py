@@ -1,12 +1,15 @@
 """Independent brute-force oracles the tests check the library against.
 
 Everything here is deliberately naive: exhaustive permutations, gift
-wrapping, direct scans, plain recursions, Monte Carlo.  None of it shares
-code paths with the library, except earlier shapes of library code kept
-as references for their rewrites:
+wrapping, direct scans, all-pairs shortest paths, plain recursions, Monte
+Carlo.  None of it shares code paths with the library, except earlier
+shapes of library code kept as references for their rewrites:
 
 - `restart_selection`, the selection loop before the one-pass loop.  It
-  reuses the library's stages (copy search, pooling, detection).
+  reuses the library's stages (window distances, copy search, pooling,
+  detection), and asks `graph_distance` for the distance to the outside
+  of its window as the library does.  `graph_distance` itself is checked
+  against `exit_distance_paths`, shortest paths over the whole graph.
 - `roll_find_copies`, `scan_separated` and `loop_pooled_scm`, the copy
   stages before copy sets became index arrays: one `Occurrence` object
   per placement, one rolled m x m occupancy mask per pattern offset and
@@ -28,6 +31,7 @@ from collections import namedtuple
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import quad
+from scipy.sparse.csgraph import shortest_path
 from scipy.spatial import cKDTree
 
 from geoggm import selector as sel
@@ -461,9 +465,7 @@ def restart_selection(graph, params, samples=None, model=None,
         for i, j, k, ids in _target_candidate_squares(lattice, params.r,
                                                       target, k_cap):
             template = sel._window_template(lattice, ids, i, j)
-            outside_ids = np.setdiff1d(np.arange(p), ids)
-            window_dist = graph_distance(graph.adjacency, ids, outside_ids)
-            if math.isinf(window_dist):
+            if math.isinf(graph_distance(graph.adjacency, ids, ids)):
                 h_slots = list(range(len(ids)))
                 zeta = math.inf
             else:
@@ -471,7 +473,7 @@ def restart_selection(graph, params, samples=None, model=None,
                 if not h_slots:
                     continue
                 dist = graph_distance(
-                    graph.adjacency, [ids[t] for t in h_slots], outside_ids)
+                    graph.adjacency, [ids[t] for t in h_slots], ids)
                 zeta = dist - 2 if math.isfinite(dist) else math.inf
             h_ids = [ids[t] for t in h_slots]
             h_set = set(h_ids)
@@ -494,7 +496,7 @@ def restart_selection(graph, params, samples=None, model=None,
                     continue
             try:
                 adj_h, j_hat = sel.detect_edges(
-                    S, h_slots, params.theta, params.detect_threshold)
+                    S, h_slots, params.detect_threshold)
             except sel.DetectionSkipped:
                 continue
             iteration_marked = False
@@ -586,6 +588,18 @@ def set_balls_inside(balls, images):
         img_set = set(img)
         out.append([all(u in img_set for u in balls[v]) for v in img])
     return out
+
+
+def exit_distance_paths(E, from_ids, within):
+    """Edge distance from `from_ids` to the vertices outside `within`, by
+    unweighted shortest paths over the whole graph: the minimum over the
+    sources and the outside vertices, inf when either is empty."""
+    sources = sorted({int(v) for v in from_ids})
+    outside = sorted(set(range(E.shape[0])) - {int(v) for v in within})
+    if not sources or not outside:
+        return math.inf
+    dist = shortest_path(sp.csr_matrix(E), unweighted=True, indices=sources)
+    return float(dist[:, outside].min())
 
 
 def hellinger_quadrature_1d(var1, var2):

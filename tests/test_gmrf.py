@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from geoggm import gmrf
 from geoggm import graphgen as gg
@@ -31,6 +33,17 @@ def test_assemble_empty_graph_gives_identity():
     m = gmrf.assemble_precision(sp.csr_matrix((4, 4), dtype=np.int8), 0.3, 1)
     assert np.allclose(m.J.toarray(), np.eye(4))
     assert np.allclose(m.covariance(), np.eye(4))
+
+
+def test_covariance_submatrix_matches_full_covariance():
+    """The submatrix solves give the full inverse's entries bit for bit."""
+    prm = gg.FamilyParams(p=500, eta=1.0, d=4, beta=2.5, theta=0.12, seed=4)
+    m = gmrf.assemble_precision(gg.generate(prm).adjacency, 0.12, 4)
+    full = m.covariance()
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        ids = rng.choice(500, size=25, replace=False)
+        assert np.array_equal(m.covariance_submatrix(ids), full[np.ix_(ids, ids)])
 
 
 def test_assemble_eigenvalue_floor():
@@ -176,7 +189,7 @@ def test_local_precision_path_sweep_under_envelope():
             theta_full[np.ix_(F, F)], block
         )
         err = np.linalg.norm(est - exact, 2)
-        bfs = gmrf.graph_distance(m.E, H, [v for v in range(p) if v not in F])
+        bfs = gmrf.graph_distance(m.E, H, F)
         zeta = bfs - 2
         assert err <= (theta * 2) ** (zeta + 2)
         assert err <= prev + 1e-15  # monotone non-increasing
@@ -193,7 +206,7 @@ def test_window_sufficiency_error_decays_geometrically():
     points = []
     for rad in range(2, 10):
         F = list(range(28 - rad, 32 + rad))
-        bfs = gmrf.graph_distance(m.E, H, [v for v in range(p) if v not in F])
+        bfs = gmrf.graph_distance(m.E, H, F)
         exact = gmrf.schur_conditional_precision(m.J, H)
         JF = m.J[np.ix_(F, F)].toarray()
         local = gmrf.schur_conditional_precision(JF, [F.index(h) for h in H])
@@ -295,11 +308,58 @@ def test_block_inversion_identity_random():
 
 def test_graph_distance():
     E = path_adjacency(10)
-    assert gmrf.graph_distance(E, [0], [9]) == 9
-    assert gmrf.graph_distance(E, [0, 5], [9]) == 4
-    assert gmrf.graph_distance(E, [3], [3]) == 0
     two = sp.block_diag([path_adjacency(3), path_adjacency(3)]).tocsr()
-    assert gmrf.graph_distance(two, [0], [4]) == math.inf
+    cases = [
+        (E, [0], range(9), 9),
+        (E, [0, 5], range(9), 4),
+        (E, [3], [0, 1, 2, 4, 5], 0),  # a source lies outside
+        (E, [3, 7], [3, 4, 5], 0),
+        (E, [], range(5), math.inf),  # no source
+        (E, [2], range(10), math.inf),  # nothing lies outside
+        (two, [0], [0, 1, 2, 3, 5], math.inf),  # its component lies inside
+        (two, [0, 4], [0, 1, 2, 4], 1),
+    ]
+    for adjacency, from_ids, within, want in cases:
+        assert gmrf.graph_distance(adjacency, from_ids, within) == want
+        assert oracles.exit_distance_paths(adjacency, from_ids, within) == want
+
+
+@st.composite
+def distance_inputs(draw):
+    """A random symmetric graph on 1 to 40 vertices, from edgeless to
+    dense, a set `within` that is sometimes every vertex, and sources that
+    are none, some of `within`, or any vertices."""
+    p = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.03, 0.06, 0.1, 0.3, 0.8]))
+    upper = np.triu(rng.random((p, p)) < density, 1)
+    E = sp.csr_matrix((upper | upper.T).astype(np.int8))
+    keep = draw(st.sampled_from([0.3, 0.7, 0.9, 0.9, 1.0]))
+    within = np.flatnonzero(rng.random(p) < keep)
+    pool = draw(st.sampled_from([np.zeros(0, int), within, within, np.arange(p)]))
+    size = min(len(pool), draw(st.integers(1, 4)))
+    return E, rng.choice(pool, size, replace=False).tolist(), within.tolist()
+
+
+@settings(max_examples=1000, deadline=None, database=None)
+@given(distance_inputs())
+def test_graph_distance_matches_shortest_paths(inputs):
+    E, from_ids, within = inputs
+    assert gmrf.graph_distance(E, from_ids, within) == \
+        oracles.exit_distance_paths(E, from_ids, within)
+
+
+def test_graph_distance_memory_is_window_local():
+    """One call on a path of 10^6 vertices with a 20-vertex window holds
+    nothing of the size of the graph."""
+    E = path_adjacency(10**6)
+    tracemalloc.start()
+    try:
+        assert gmrf.graph_distance(E, [500_010], range(500_000, 500_020)) == 10
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6  # below one byte per vertex
 
 
 def test_cdp_check_components_zero():

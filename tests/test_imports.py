@@ -1,8 +1,10 @@
-"""Static check: every name a geoggm module imports is referenced in it.
+"""Static checks: every name a geoggm module imports is referenced in it,
+and every parameter of a geoggm function is referenced in its body.
 
 No linter ships with the project, so this walks each module's syntax tree
-with the standard library.  `__init__.py` is skipped (its imports are
-re-exports) and `from __future__` imports are exempt.
+with the standard library.  For imports, `__init__.py` is skipped (its
+imports are re-exports) and `from __future__` imports are exempt; for
+parameters, `self` and `cls` are exempt.
 """
 import ast
 import pathlib
@@ -11,6 +13,7 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "geoggm"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,3 +45,39 @@ def test_unused_imports_checker():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_parameters(source: str) -> list[str]:
+    """`function.parameter` for each parameter, other than `self` and
+    `cls`, that no expression in its function's body refers to."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = fn.args
+        params = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+        params += [x.arg for x in (a.vararg, a.kwarg) if x is not None]
+        used = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name)}
+        found += [f"{fn.name}.{name}" for name in params
+                  if name not in ("self", "cls") and name not in used]
+    return sorted(found)
+
+
+def test_unused_parameters_checker():
+    source = (
+        "class A:\n"
+        "    def f(self, x, y=0, *args, z, **kw):\n"
+        "        def g(u):\n"
+        "            return y\n"
+        "        return x + len(args)\n"
+        "    @classmethod\n"
+        "    def h(cls, a: int = 1) -> int:\n"
+        "        return 2\n"
+    )
+    assert unused_parameters(source) == ["f.kw", "f.z", "g.u", "h.a"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text()) == []

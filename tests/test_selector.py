@@ -239,6 +239,16 @@ def test_greedy_separated_maximality():
         assert any(torus.distance(centers[i], centers[a]) < w for a in acc)
 
 
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(1, 30), st.floats(0.5, 100.0), st.integers(0, 2**32 - 1))
+def test_greedy_separated_keeps_first_row(n, w, seed):
+    """Row 0, the window's own occurrence, is always pooled, whatever the
+    separation, so `run_selection` never pools over an empty set."""
+    centers = np.random.default_rng(seed).uniform(0, 20, (n, 2))
+    copies = _single_node_copies(centers, Torus(20.0))
+    assert sel.greedy_separated(copies, w).separated[0] == 0
+
+
 def test_pooled_scm_single_occurrence_is_plain_scm():
     rng = np.random.default_rng(6)
     X = rng.standard_normal((30, 6))
@@ -306,14 +316,14 @@ def test_detect_edges_exact_covariance_recovers_path():
         0.2, 2,
     )
     theta_f = model.covariance()
-    adj, j_hat = sel.detect_edges(theta_f, [0, 1, 2], theta=0.2, threshold=0.1)
+    adj, j_hat = sel.detect_edges(theta_f, [0, 1, 2], threshold=0.1)
     assert adj[0, 1] and adj[1, 2] and not adj[0, 2]
     assert np.abs(j_hat - model.J.toarray()).max() < 1e-12
 
 
 def test_detect_edges_empty_graph():
     theta_f = np.eye(4)
-    adj, j_hat = sel.detect_edges(theta_f, [0, 1, 2, 3], theta=0.3, threshold=0.15)
+    adj, j_hat = sel.detect_edges(theta_f, [0, 1, 2, 3], threshold=0.15)
     assert not adj.any()
     assert np.allclose(j_hat, np.eye(4))
 
@@ -321,7 +331,7 @@ def test_detect_edges_empty_graph():
 def test_detect_edges_skips_singular():
     S = np.ones((3, 3))
     with pytest.raises(sel.DetectionSkipped):
-        sel.detect_edges(S, [0, 1], theta=0.2, threshold=0.1)
+        sel.detect_edges(S, [0, 1], threshold=0.1)
 
 
 def test_detect_edges_margin_bound_under_windowing():
@@ -335,9 +345,9 @@ def test_detect_edges_margin_bound_under_windowing():
     h_slots = list(range(4, 12))  # middle of the window
     h_ids = [F[t] for t in h_slots]
     theta_f = model.covariance_submatrix(F)
-    _, j_hat = sel.detect_edges(theta_f, h_slots, theta=theta, threshold=0.1)
+    _, j_hat = sel.detect_edges(theta_f, h_slots, threshold=0.1)
     true_core = model.J[np.ix_(h_ids, h_ids)].toarray()
-    bfs = gmrf.graph_distance(E, h_ids, [v for v in range(p) if v not in F])
+    bfs = gmrf.graph_distance(E, h_ids, F)
     zeta = bfs - 2
     amplification = (1.0 / (1.0 - d * theta)) ** 2
     envelope = amplification * (theta * d) ** (zeta + 2)
@@ -534,6 +544,18 @@ def test_candidate_squares_match_table_scan(inputs):
     with mock.patch.object(sel, "BAND_CELLS", band_cells):
         got = list(sel._candidate_squares(lattice, r, k_cap))
     assert got == list(oracles.table_candidate_squares(lattice, r, k_cap))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(scan_inputs())
+def test_middle_slots_never_empty(inputs):
+    """The core of every scanned window is non-empty: `_middle_slots` grows
+    the middle up to the whole square, which holds the window, so
+    `run_selection` needs no branch for an empty core."""
+    lattice, r, k_cap, band_cells = inputs
+    with mock.patch.object(sel, "BAND_CELLS", band_cells):
+        for i, j, k, ids in sel._candidate_squares(lattice, r, k_cap):
+            assert sel._middle_slots(lattice, ids, (i, j, k))
 
 
 def test_candidate_squares_match_table_scan_across_bands_and_seam():
