@@ -232,7 +232,7 @@ def graph_distance(E: sp.spmatrix, from_ids, within) -> float:
     `from_ids` is empty or no path leaves `within`.  The search holds sets
     of `within` and of the vertices it visits, all inside `within`, so its
     memory does not grow with the number of vertices of E."""
-    A = sp.csr_matrix(E)
+    A = E.tocsr()
     inside = {int(v) for v in within}
     frontier = {int(v) for v in from_ids}
     if not frontier <= inside:
@@ -260,8 +260,8 @@ def cdp_check(model: PrecisionModel, block: BlockIndex, zeta: int):
     that vanish; it is certified when the BFS edge distance from H to the
     nearest vertex outside F, `graph_distance(E, H, F)`, is at least
     zeta + 2.  Returns the measured spectral norm of J_{H,R} J_R^{-1} J_{R,V}
-    (R = F \\ H, V = complement of F) together with the bound
-    (theta*d)^(zeta+2).
+    (R = F \\ H, V = complement of F), built on the columns of V next to
+    R alone, together with the bound (theta*d)^(zeta+2).
     """
     if zeta < 0:
         raise ValueError("zeta must be nonnegative")
@@ -272,17 +272,20 @@ def cdp_check(model: PrecisionModel, block: BlockIndex, zeta: int):
             f"only zeta = {max(0, int(dist) - 2)}, below requested {zeta}"
         )
     rhs = (model.theta * model.d) ** (zeta + 2)
-    hset, fset = set(block.H), set(block.F)
-    vidx = [v for v in range(model.p) if v not in fset]
-    ridx = [v for v in block.F if v not in hset]
-    if not ridx or not vidx:
+    ridx = np.asarray(block.F, dtype=int)[~np.isin(block.F, block.H)]
+    # by symmetry J's columns of R are its rows: nonzero on F and R's neighbours
+    rows_R = model.J[:, ridx].tocoo()
+    vidx = np.setdiff1d(rows_R.row, block.F)
+    if not len(vidx):
         return 0.0, rhs
-    Jd = model.J
-    JHR = Jd[np.ix_(list(block.H), ridx)].toarray()
-    JR = Jd[np.ix_(ridx, ridx)].toarray()
-    JRV = Jd[np.ix_(ridx, vidx)].toarray()
-    inner = sla.cho_solve(sla.cho_factor(JR), JRV)
-    lhs = float(np.linalg.norm(JHR @ inner, ord=2))
+    h, r = len(block.H), len(ridx)
+    cols = np.concatenate((block.H, ridx, vidx))
+    order = np.argsort(cols)
+    B = np.zeros((r, len(cols)))  # J_{R,H}, J_R and J_{R,V} side by side
+    at = order[np.searchsorted(cols, rows_R.row, sorter=order)]
+    B[rows_R.col, at] = rows_R.data
+    inner = sla.cho_solve(sla.cho_factor(B[:, h:h + r]), B[:, h + r:])
+    lhs = float(np.linalg.norm(B[:, :h].T @ inner, ord=2))
     return lhs, rhs
 
 

@@ -232,60 +232,57 @@ def default_k_cap(r: int, eta: float, eps: float, m: int) -> int:
 BAND_CELLS = 1 << 15
 
 
-def _candidate_squares(lattice: Lattice, r: int, k_cap: int):
+def _candidate_squares(lattice: Lattice, r: int, k_cap: int, settled):
     """Yield (i, j, k, ids) squares in row-major scan order.
 
     For each anchor, k grows until the window first encloses at least r
     vertices; the anchor qualifies when that count is exactly r.  Windows
     are automatically contiguous: every vertex inside the square belongs
     to the window set.  `ids` are the window's vertices in increasing order.
+    A window is yielded only if one of its vertices is not `settled`, a
+    live mask that the caller may extend in place between yields.
 
     The scan goes one band of anchor rows at a time and yields a band's
     windows before it reads the next, so a caller that stops early pays
     for the rows it reached times m, not for the m x m lattice.  A band
-    takes its rows of the prefix table of the 2 x 2 tiled occupancy, over
-    the m + K columns a window reaches (K = min(k_cap, m)), from the
-    running prefix row above it and a cumsum over its nb + K - 1 tiled
-    occupancy rows.  It has at least K rows, so the K extra prefix rows
-    at most double it, and about BAND_CELLS anchors, so the numpy calls
-    per k stay few.  An anchor's qualifying k depends on that anchor
-    alone, so the yields do not depend on the band height.
+    counts its windows exactly, by inclusion-exclusion on two prefix
+    tables over its own nb + K - 1 rows of the 2 x 2 tiled lattice and the
+    m + K - 1 columns a window reaches (K = min(k_cap, m)): one of the
+    occupied cells and one of the cells of unsettled vertices.  It has at
+    least K rows, so the K - 1 extra rows at most double it, and about
+    BAND_CELLS anchors, so the numpy calls per k stay few.  An anchor's
+    qualifying k depends on that anchor alone, so the yields do not
+    depend on the band height.
     """
     m = lattice.m
     K = min(k_cap, m)
     band = max(K, math.ceil(BAND_CELLS / m))
     cols = np.arange(m + K - 1) % m
-    top = np.zeros(m + K, dtype=np.int64)  # prefix row at the band's first row
     for i0 in range(0, m, band):
         nb = min(band, m - i0)
-        rows = np.arange(i0, i0 + nb + K - 1) % m
-        P = np.zeros((nb + K, m + K), dtype=np.int64)
-        occupied = lattice.grid[np.ix_(rows, cols)] >= 0
+        cells = lattice.grid[np.ix_(np.arange(i0, i0 + nb + K - 1) % m, cols)]
+        occupied = cells >= 0
+        P, Q = np.zeros((2, nb + K, m + K), dtype=np.int64)
         P[1:, 1:] = occupied.cumsum(0).cumsum(1)
-        P += top
-        top = P[nb].copy()
+        Q[1:, 1:] = (occupied & ~settled[cells]).cumsum(0).cumsum(1)
         reached = np.zeros((nb, m), dtype=bool)
         size = np.zeros((nb, m), dtype=int)  # qualifying k, 0 if none
         for k in range(1, K + 1):
-            # known defect: the P[i, j] corner is subtracted where
-            # inclusion-exclusion adds it, so counts run low off row/column 0
-            # and some anchors are never offered; the re-check below keeps
-            # every yielded window exact
             cnt = (P[k:k + nb, k:k + m] - P[:nb, k:k + m]
-                   - P[k:k + nb, :m] - P[:nb, :m])
+                   - P[k:k + nb, :m] + P[:nb, :m])
             newly = (cnt >= r) & ~reached
             reached |= newly
             size[newly & (cnt == r)] = k
             if reached.all():
                 break
-        for i, j in np.argwhere(size).tolist():
-            k = int(size[i, j])
-            i += i0
-            span = np.arange(k)
-            window = lattice.grid[np.ix_((i + span) % m, (j + span) % m)]
-            ids = window[window >= 0].tolist()
-            if len(ids) == r:
-                yield i, j, k, sorted(ids)
+        i, j = np.nonzero(size)
+        k = size[i, j]
+        hopeful = Q[i + k, j + k] - Q[i, j + k] - Q[i + k, j] + Q[i, j] > 0
+        for i, j, k in np.column_stack((i, j, k))[hopeful].tolist():
+            window = cells[i:i + k, j:j + k]
+            ids = window[window >= 0]
+            if not settled[ids].all():
+                yield i0 + i, j, k, sorted(ids.tolist())
 
 
 def _window_template(lattice: Lattice, ids, i0: int, j0: int):
@@ -441,9 +438,9 @@ def run_selection(
 
     A vertex whose ball holds more than r vertices can never be decided,
     so it counts as settled from the start, and any other vertex once it
-    is decided.  The run passes over windows of settled vertices, skips
-    the scan when every vertex is settled and stops once every vertex is:
-    such windows could not pass the viability screen.
+    is decided.  The scan offers no window of settled vertices, the run
+    skips the scan when every vertex is settled and stops once every
+    vertex is: such windows could not pass the viability screen.
     """
     t0 = time.perf_counter()
     p = graph.p
@@ -477,11 +474,9 @@ def run_selection(
     achieved_zetas: list[float] = []
     low_confidence = False
 
-    windows = () if settled.all() else _candidate_squares(lattice, params.r, k_cap)
+    windows = () if settled.all() else _candidate_squares(
+        lattice, params.r, k_cap, settled)
     for i, j, k, ids in windows:
-        if settled[ids].all():
-            continue
-        template = _window_template(lattice, ids, i, j)
         # a closed window, one no edge leaves, holds whole components: the
         # local inversion is exact with no truncation, so the whole window
         # is the core; otherwise the core is the middle of the square, which
@@ -500,6 +495,7 @@ def run_selection(
         if params.min_zeta is not None and zeta < params.min_zeta:
             continue
 
+        template = _window_template(lattice, ids, i, j)
         copies = find_copies(lattice, template, graph, first=ids)
         greedy_separated(copies, params.w)
         copies_found += len(copies.matches)

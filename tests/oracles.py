@@ -18,7 +18,10 @@ shapes of library code kept as references for their rewrites:
   per cell), so the copy search is compared with code it does not share.
 - `table_candidate_squares`, the candidate scan before it went band by
   band: one (2m+1) x (2m+1) prefix table over the tiled lattice, every
-  anchor evaluated before the first window is yielded.
+  anchor evaluated before the first window is yielded.  It offers every
+  window, settled or not.
+- `dense_cdp_lhs`, the coupling norm of `cdp_check` before it went to the
+  rows of R: dense blocks of J over the complement of F.
 - `dict_resolve_pairs` and `set_balls_inside`, the decision transport
   before it went to arrays: one dict entry per vertex pair, replaced
   only by a strictly larger margin, and one set membership test per ball
@@ -29,6 +32,7 @@ import math
 from collections import namedtuple
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.integrate import quad
 from scipy.sparse.csgraph import shortest_path
@@ -373,16 +377,16 @@ def candidate_squares_scan(nodes, m, r, cap):
 def table_candidate_squares(lattice, r, k_cap):
     """The earlier `_candidate_squares`: one occupancy prefix table over
     the 2 x 2 tiled lattice and every k up to the cap evaluated for all
-    anchors at once, then the qualifying windows in row-major order.  The
-    P[i, j] corner is subtracted, as the library does."""
+    anchors at once, then the qualifying windows in row-major order."""
     m = lattice.m
+    tiled = np.tile(lattice.grid, (2, 2))
     P = np.zeros((2 * m + 1, 2 * m + 1), dtype=np.int64)
-    P[1:, 1:] = np.tile(lattice.grid >= 0, (2, 2)).cumsum(0).cumsum(1)
+    P[1:, 1:] = (tiled >= 0).cumsum(0).cumsum(1)
     reached = np.zeros((m, m), dtype=bool)
     size = np.zeros((m, m), dtype=int)
     for k in range(1, min(k_cap, m) + 1):
         cnt = (P[k:k + m, k:k + m] - P[:m, k:k + m]
-               - P[k:k + m, :m] - P[:m, :m])
+               - P[k:k + m, :m] + P[:m, :m])
         newly = (cnt >= r) & ~reached
         reached |= newly
         size[newly & (cnt == r)] = k
@@ -390,28 +394,25 @@ def table_candidate_squares(lattice, r, k_cap):
             break
     for i, j in np.argwhere(size).tolist():
         k = int(size[i, j])
-        span = np.arange(k)
-        window = lattice.grid[np.ix_((i + span) % m, (j + span) % m)]
-        ids = window[window >= 0].tolist()
-        if len(ids) == r:
-            yield i, j, k, sorted(ids)
+        window = tiled[i:i + k, j:j + k]
+        yield i, j, k, sorted(window[window >= 0].tolist())
 
 
 def _target_candidate_squares(lattice, r, target, k_cap):
     """The earlier scan: occupancy and target box counts from two prefix
-    tables (with the P[i, j] corner subtracted, as the library does)."""
+    tables; a window qualifies when it holds a target vertex."""
     m = lattice.m
-    a = np.arange(m)
+    tiled = np.tile(lattice.grid, (2, 2))
 
     def box_counts(cells):
         P = np.zeros((2 * m + 1, 2 * m + 1), dtype=np.int64)
-        P[1:, 1:] = np.tile(cells, (2, 2)).astype(np.int64).cumsum(0).cumsum(1)
-        return lambda k: (P[np.ix_(a + k, a + k)] - P[np.ix_(a, a + k)]
-                          - P[np.ix_(a + k, a)] - P[np.ix_(a, a)])
+        P[1:, 1:] = cells.cumsum(0).cumsum(1)
+        return lambda k: (P[k:k + m, k:k + m] - P[:m, k:k + m]
+                          - P[k:k + m, :m] + P[:m, :m])
 
-    occupied = lattice.grid >= 0
+    occupied = tiled >= 0
     occ_counts = box_counts(occupied)
-    tgt_counts = box_counts(occupied & target[lattice.grid])
+    tgt_counts = box_counts(occupied & target[tiled])
     reached = np.zeros((m, m), dtype=bool)
     candidates = []
     for k in range(1, min(k_cap, m) + 1):
@@ -424,11 +425,8 @@ def _target_candidate_squares(lattice, r, target, k_cap):
             break
     candidates.sort()
     for i, j, k in candidates:
-        span = np.arange(k)
-        window = lattice.grid[np.ix_((i + span) % m, (j + span) % m)]
-        ids = window[window >= 0].tolist()
-        if len(ids) == r:
-            yield i, j, k, sorted(ids)
+        window = tiled[i:i + k, j:j + k]
+        yield i, j, k, sorted(window[window >= 0].tolist())
 
 
 def restart_selection(graph, params, samples=None, model=None,
@@ -464,7 +462,6 @@ def restart_selection(graph, params, samples=None, model=None,
         progressed = False
         for i, j, k, ids in _target_candidate_squares(lattice, params.r,
                                                       target, k_cap):
-            template = sel._window_template(lattice, ids, i, j)
             if math.isinf(graph_distance(graph.adjacency, ids, ids)):
                 h_slots = list(range(len(ids)))
                 zeta = math.inf
@@ -481,6 +478,7 @@ def restart_selection(graph, params, samples=None, model=None,
                 continue
             if params.min_zeta is not None and zeta < params.min_zeta:
                 continue
+            template = sel._window_template(lattice, ids, i, j)
             copies = sel.find_copies(lattice, template, graph, first=ids)
             sel.greedy_separated(copies, params.w)
             copies_found += len(copies.matches)
@@ -600,6 +598,22 @@ def exit_distance_paths(E, from_ids, within):
         return math.inf
     dist = shortest_path(sp.csr_matrix(E), unweighted=True, indices=sources)
     return float(dist[:, outside].min())
+
+
+def dense_cdp_lhs(model, block):
+    """Spectral norm of J_{H,R} J_R^{-1} J_{R,V} (R = F \\ H, V the
+    complement of F) from dense blocks of J over every column of V."""
+    hset, fset = set(block.H), set(block.F)
+    vidx = [v for v in range(model.p) if v not in fset]
+    ridx = [v for v in block.F if v not in hset]
+    if not ridx or not vidx:
+        return 0.0
+    J = model.J
+    JHR = J[np.ix_(list(block.H), ridx)].toarray()
+    JR = J[np.ix_(ridx, ridx)].toarray()
+    JRV = J[np.ix_(ridx, vidx)].toarray()
+    inner = sla.cho_solve(sla.cho_factor(JR), JRV)
+    return float(np.linalg.norm(JHR @ inner, ord=2))
 
 
 def hellinger_quadrature_1d(var1, var2):

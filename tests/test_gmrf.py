@@ -401,6 +401,46 @@ def test_cdp_check_rejects_uncertified_zeta():
         gmrf.cdp_check(m, block, zeta=5)
 
 
+def test_cdp_check_matches_dense_blocks():
+    """The coupling norm from the rows of R equals the dense formula over
+    every column of V, on seeded geometric graphs with one-vertex and
+    ball-shaped cores."""
+    checked = 0
+    for seed in range(4):
+        graph = gg.generate(gg.FamilyParams(p=120, eta=1.0, d=3, beta=2.2,
+                                            theta=0.12, seed=seed))
+        m = gmrf.assemble_precision(graph.adjacency, 0.12, 3)
+        rng = np.random.default_rng(seed)
+        for center in rng.choice(graph.p, 4, replace=False).tolist():
+            hops = sp.csgraph.shortest_path(m.E, unweighted=True,
+                                            indices=[center])[0]
+            for h_rad, rad in [(0, 1), (0, 3), (1, 2)]:
+                block = gmrf.BlockIndex.of(
+                    H=np.flatnonzero(hops <= h_rad),
+                    F=rng.permutation(np.flatnonzero(hops <= h_rad + rad)))
+                lhs, _ = gmrf.cdp_check(m, block, zeta=rad - 1)
+                want = oracles.dense_cdp_lhs(m, block)
+                assert lhs == pytest.approx(want, rel=1e-12, abs=0)
+                checked += want > 0
+    assert checked > 20
+
+
+def test_cdp_check_memory_is_block_local():
+    """One certificate on a path of 200,000 vertices with a 21-vertex F
+    holds nothing of the size of the graph: the dense J_{R,V} block over
+    every vertex outside F peaked at 73.6 MB of traced memory here."""
+    m = gmrf.assemble_precision(path_adjacency(200_000), 0.2, 2)
+    block = gmrf.BlockIndex.of(H=[100_000], F=range(99_990, 100_011))
+    tracemalloc.start()
+    try:
+        lhs, rhs = gmrf.cdp_check(m, block, zeta=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < lhs <= rhs
+    assert peak < 2**20
+
+
 def _planted_graph(seed, jitter=0.0, rotate=True):
     rng = np.random.default_rng(5)
     tmpl = rng.uniform(0, 1.2, (6, 2))

@@ -396,7 +396,8 @@ def test_candidate_squares_planted_pattern_first():
         p=100, theta=0.11, seed=2, r_t=20, grid=7
     )
     lat = sel._quantize_with_backoff(graph, eps)
-    i, j, k, ids = next(sel._candidate_squares(lat, 20, 18))
+    i, j, k, ids = next(sel._candidate_squares(lat, 20, 18,
+                                               np.zeros(graph.p, bool)))
     template = sel._window_template(lat, ids, i, j)
     assert set(template.offsets) == set(
         PatternTemplate.from_offsets(cells).offsets
@@ -412,24 +413,22 @@ def _unplanted_sparse():
 
 
 def test_candidate_squares_overlap_with_detected_allowed(monkeypatch):
-    """run_selection passes over an offered window exactly when each of
+    """In run_selection the scan passes over a window exactly when each of
     its vertices is decided or hopeless (its beta-ball holds more than r
     vertices, so it can never be decided); windows overlapping decided
-    vertices are examined.  Decisions are replayed from the copies and
-    cores used."""
+    vertices are offered.  Decisions are replayed from the copies and
+    cores used, and the offers are matched against every window."""
     graph = _unplanted_sparse()
     events = []
-    scan, template_of = sel._candidate_squares, sel._window_template
+    scan = sel._candidate_squares
     find, detect = sel.find_copies, sel.detect_edges
 
-    def spy_scan(*args):
-        for square in scan(*args):
-            events.append(("offer", square[3]))
+    def spy_scan(lattice, r, k_cap, settled):
+        events.append(("every", list(
+            oracles.table_candidate_squares(lattice, r, k_cap))))
+        for square in scan(lattice, r, k_cap, settled):
+            events.append(("offer", square))
             yield square
-
-    def spy_template(lattice, ids, i, j):
-        events.append(("examine", ids))
-        return template_of(lattice, ids, i, j)
 
     def spy_find(*args, **kwargs):
         copies = find(*args, **kwargs)
@@ -442,7 +441,6 @@ def test_candidate_squares_overlap_with_detected_allowed(monkeypatch):
         return out
 
     monkeypatch.setattr(sel, "_candidate_squares", spy_scan)
-    monkeypatch.setattr(sel, "_window_template", spy_template)
     monkeypatch.setattr(sel, "find_copies", spy_find)
     monkeypatch.setattr(sel, "detect_edges", spy_detect)
     params = sel.SelectorParams(r=5, eps=0.3, w=1.0, theta=0.1)
@@ -456,13 +454,17 @@ def test_candidate_squares_overlap_with_detected_allowed(monkeypatch):
 
     hopeless = {v for v in range(graph.p) if len(ball(v)) > params.r}
     decided: set = set()
-    skipped = overlapping = 0
-    for t, (kind, arg) in enumerate(events):
-        if kind == "offer":
-            examined = t + 1 < len(events) and events[t + 1][0] == "examine"
-            assert examined == (not set(arg) <= decided | hopeless)
-            skipped += not examined
-            overlapping += examined and bool(set(arg) & decided)
+    skipped = overlapping = nxt = 0
+    for kind, arg in events:
+        if kind == "every":
+            every = arg
+        elif kind == "offer":
+            while set(every[nxt][3]) <= decided | hopeless:
+                skipped += 1
+                nxt += 1
+            assert arg == every[nxt]
+            nxt += 1
+            overlapping += bool(set(arg[3]) & decided)
         elif kind == "copies":
             copies = arg
         elif kind == "detect":
@@ -477,7 +479,7 @@ def test_candidate_squares_overlap_with_detected_allowed(monkeypatch):
 def test_candidate_squares_none_on_empty_region():
     nodes = [(0, 0)]
     lat, cloud = _lattice_from_nodes(nodes, 30)
-    assert list(sel._candidate_squares(lat, 5, 6)) == []
+    assert list(sel._candidate_squares(lat, 5, 6, np.zeros(1, bool))) == []
 
 
 def _random_lattices(seed, count):
@@ -495,24 +497,25 @@ def _random_lattices(seed, count):
 def test_candidate_squares_window_contents_match_brute_scan():
     wrapped = 0
     for lat, nodes, m, r in _random_lattices(5, 8):
-        for i, j, k, ids in sel._candidate_squares(lat, r, m):
+        for i, j, k, ids in sel._candidate_squares(lat, r, m,
+                                                   np.zeros(len(nodes), bool)):
             assert ids == oracles.window_vertices_scan(nodes, m, i, j, k)
             assert len(ids) == r
             wrapped += (i + k > m) or (j + k > m)
     assert wrapped > 0  # some windows straddle the seam
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known box-count defect: the P[i, j] prefix corner is subtracted "
-           "where inclusion-exclusion adds it, so most qualifying anchors off "
-           "row/column 0 are never offered (see CHANGES.md)",
-)
 def test_candidate_squares_offers_every_qualifying_anchor():
+    """Every qualifying window is offered unless each of its vertices is
+    settled."""
+    rng = np.random.default_rng(11)
     for lat, nodes, m, r in _random_lattices(11, 6):
         cap = max(3, m // 2)
-        got = list(sel._candidate_squares(lat, r, cap))
-        assert got == oracles.candidate_squares_scan(nodes, m, r, cap)
+        every = oracles.candidate_squares_scan(nodes, m, r, cap)
+        for density in (0.0, 0.5, 0.9):
+            settled = rng.random(len(nodes)) < density
+            got = list(sel._candidate_squares(lat, r, cap, settled))
+            assert got == [w for w in every if not settled[w[3]].all()]
 
 
 @st.composite
@@ -520,7 +523,8 @@ def scan_inputs(draw):
     """A random occupancy of an m x m unit lattice, sparse or dense, with
     m up to 220 (several bands), r in 2..8, k_cap below m, or at or above
     it for m <= 40 (a k_cap of m makes one band: larger m adds only time),
-    and a band size: the default, or small ones that force bands of K rows."""
+    a band size: the default, or small ones that force bands of K rows,
+    and a settled mask over none, about half or most of the vertices."""
     m = draw(st.one_of(st.integers(1, 40), st.integers(100, 220)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     occupied = rng.random((m, m)) < draw(st.sampled_from([0.02, 0.1, 0.5, 0.9]))
@@ -532,18 +536,20 @@ def scan_inputs(draw):
         k_caps += [st.just(m), st.integers(m + 1, m + 5)]
     k_cap = draw(st.one_of(*k_caps))
     band_cells = draw(st.sampled_from([sel.BAND_CELLS, 1, 97]))
-    return lattice, draw(st.integers(2, 8)), k_cap, band_cells
+    settled = rng.random(len(nodes)) < draw(st.sampled_from([0.0, 0.5, 0.9]))
+    return lattice, draw(st.integers(2, 8)), k_cap, band_cells, settled
 
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(scan_inputs())
 def test_candidate_squares_match_table_scan(inputs):
-    """The banded scan yields the full-table scan's windows, in order,
-    whatever the band height."""
-    lattice, r, k_cap, band_cells = inputs
+    """The banded scan yields the full-table scan's windows that hold an
+    unsettled vertex, in order, whatever the band height."""
+    lattice, r, k_cap, band_cells, settled = inputs
     with mock.patch.object(sel, "BAND_CELLS", band_cells):
-        got = list(sel._candidate_squares(lattice, r, k_cap))
-    assert got == list(oracles.table_candidate_squares(lattice, r, k_cap))
+        got = list(sel._candidate_squares(lattice, r, k_cap, settled))
+    assert got == [w for w in oracles.table_candidate_squares(lattice, r, k_cap)
+                   if not settled[w[3]].all()]
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -552,9 +558,10 @@ def test_middle_slots_never_empty(inputs):
     """The core of every scanned window is non-empty: `_middle_slots` grows
     the middle up to the whole square, which holds the window, so
     `run_selection` needs no branch for an empty core."""
-    lattice, r, k_cap, band_cells = inputs
+    lattice, r, k_cap, band_cells, settled = inputs
     with mock.patch.object(sel, "BAND_CELLS", band_cells):
-        for i, j, k, ids in sel._candidate_squares(lattice, r, k_cap):
+        for i, j, k, ids in sel._candidate_squares(
+                lattice, r, k_cap, np.zeros_like(settled)):
             assert sel._middle_slots(lattice, ids, (i, j, k))
 
 
@@ -567,7 +574,8 @@ def test_candidate_squares_match_table_scan_across_bands_and_seam():
         rng = np.random.default_rng(m)
         occupied = rng.random((m, m)) < density
         lattice, _ = _lattice_from_nodes(np.argwhere(occupied).tolist(), m)
-        got = list(sel._candidate_squares(lattice, r, k_cap))
+        got = list(sel._candidate_squares(lattice, r, k_cap,
+                                          np.zeros(occupied.sum(), bool)))
         assert got == list(oracles.table_candidate_squares(lattice, r, k_cap))
         band = max(min(k_cap, m), math.ceil(sel.BAND_CELLS / m))
         bands = max(bands, len({i // band for i, *_ in got}))
@@ -575,16 +583,34 @@ def test_candidate_squares_match_table_scan_across_bands_and_seam():
     assert bands > 1 and wrapped > 0
 
 
-def test_candidate_squares_carry_prefix_row_across_bands(monkeypatch):
+def test_candidate_squares_ignore_rows_above_the_band(monkeypatch):
     """Vertex 0 sits on the last row of the first band, above and left of
-    anchor (3, 1) in the next band; with the subtracted corner it decides
-    that anchor's counts, so the next band must start from the prefix row
-    below it."""
+    anchor (3, 1) in the next band: that band counts its windows from its
+    own rows alone, and they are exact."""
     nodes = [(2, 0), (3, 1), (3, 2), (7, 5), (8, 9)]
     lattice, _ = _lattice_from_nodes(nodes, 12)
     monkeypatch.setattr(sel, "BAND_CELLS", 1)  # bands of K = 3 rows
-    got = list(sel._candidate_squares(lattice, 2, 3))
+    got = list(sel._candidate_squares(lattice, 2, 3, np.zeros(5, bool)))
+    assert (3, 1, 2, [1, 2]) in got
     assert got == list(oracles.table_candidate_squares(lattice, 2, 3))
+
+
+@pytest.mark.parametrize("band_cells", [sel.BAND_CELLS, 1])
+def test_candidate_squares_read_the_live_mask(monkeypatch, band_cells):
+    """Vertices settled between yields drop the later windows that hold
+    no other vertex, also within the band already built."""
+    monkeypatch.setattr(sel, "BAND_CELLS", band_cells)
+    for lat, nodes, m, r in _random_lattices(7, 6):
+        want, settled = [], np.zeros(len(nodes), bool)
+        for i, j, k, ids in oracles.table_candidate_squares(lat, r, m):
+            if not settled[ids].all():
+                want.append((i, j, k, ids))
+                settled[ids[::2]] = True
+        got, settled = [], np.zeros(len(nodes), bool)
+        for i, j, k, ids in sel._candidate_squares(lat, r, m, settled):
+            got.append((i, j, k, ids))
+            settled[ids[::2]] = True
+        assert got == want and len(want) > 1
 
 
 def test_candidate_squares_first_window_memory():
@@ -596,9 +622,10 @@ def test_candidate_squares_first_window_memory():
     cells = rng.choice(m * m, size=20_000, replace=False)
     nodes = np.column_stack(np.divmod(cells, m)).tolist()
     lattice, _ = _lattice_from_nodes(nodes, m)
+    settled = np.zeros(len(nodes), bool)
     tracemalloc.start()
     try:
-        next(sel._candidate_squares(lattice, 4, 18))
+        next(sel._candidate_squares(lattice, 4, 18, settled))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -964,3 +991,17 @@ def test_one_pass_matches_restart_loop_in_harness(monkeypatch, plant_frac,
     assert new.iterations > 1 and new.undecided_vertices
     assert new.conflicting_pairs > 0
     _assert_same_reports(new, old)
+
+
+@pytest.mark.parametrize("seed", [1246337773, 1811346479])
+def test_generic_plants_recovered_where_no_window_was_offered(seed):
+    """Criterion-4 graphs on which the scan once offered no window (its
+    box counts subtracted the P[i, j] prefix corner) and every vertex
+    stayed undecided."""
+    graph, eps = plantcfg.generic_plant_graph(p=500, theta=0.1, seed=seed,
+                                              r_t=25, q_count=20, d=3)
+    params = sel.SelectorParams(r=25, eps=eps, w=2 * eps, theta=0.1,
+                                min_zeta=6, k_cap=40)
+    report = sel.run_selection(graph, params, exact_cov=True)
+    assert report.zero_one_loss == 0 and not report.undecided_vertices
+    assert report.achieved_zetas and min(report.achieved_zetas) >= 6
