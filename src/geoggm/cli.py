@@ -145,15 +145,16 @@ def main(argv=None) -> int:
         "select", help="recover the edge structure; emits a JSON report",
     )
     p_sel.add_argument("--graph", required=True)
-    p_sel.add_argument("--samples", help="snapshot CSV (unless --exact-cov)")
+    source = p_sel.add_mutually_exclusive_group(required=True)
+    source.add_argument("--samples", help="snapshot CSV")
+    source.add_argument("--exact-cov", action="store_true",
+                        help="use the population covariance instead of samples")
     p_sel.add_argument("--r", type=int)
     p_sel.add_argument("--eps", type=float)
     p_sel.add_argument("--w", type=float)
     p_sel.add_argument("--theta", type=float)
     p_sel.add_argument("--threshold", type=float)
     p_sel.add_argument("--min-zeta", type=int, dest="min_zeta")
-    p_sel.add_argument("--exact-cov", action="store_true",
-                       help="use the population covariance instead of samples")
     p_sel.add_argument("--out", required=True, help="output report JSON")
     p_sel.set_defaults(func=_cmd_select)
 

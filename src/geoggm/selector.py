@@ -67,6 +67,8 @@ class SelectorParams:
             raise ValueError("eps must be positive")
         if self.w < self.eps:
             raise ValueError("w must be at least eps")
+        if self.k_cap is not None and self.k_cap < 1:
+            raise ValueError("k_cap must be at least 1")
         if self.detect_threshold is None:
             if self.theta <= 0:
                 raise ValueError("a zero-coupling run needs an explicit threshold")
@@ -235,29 +237,34 @@ BAND_CELLS = 1 << 15
 def _candidate_squares(lattice: Lattice, r: int, k_cap: int, settled):
     """Yield (i, j, k, ids) squares in row-major scan order.
 
-    For each anchor, k grows until the window first encloses at least r
-    vertices; the anchor qualifies when that count is exactly r.  Windows
-    are automatically contiguous: every vertex inside the square belongs
-    to the window set.  `ids` are the window's vertices in increasing order.
-    A window is yielded only if one of its vertices is not `settled`, a
-    live mask that the caller may extend in place between yields.
+    An anchor's k is the smallest size at which its window holds at least
+    r vertices; it qualifies when that count is exactly r.  Windows are
+    contiguous: every vertex inside the square belongs to the window set,
+    `ids`, in increasing order.  A window is yielded only if one of its
+    vertices is not `settled`, a live mask the caller may extend in place.
 
     The scan goes one band of anchor rows at a time and yields a band's
     windows before it reads the next, so a caller that stops early pays
     for the rows it reached times m, not for the m x m lattice.  A band
-    counts its windows exactly, by inclusion-exclusion on two prefix
-    tables over its own nb + K - 1 rows of the 2 x 2 tiled lattice and the
-    m + K - 1 columns a window reaches (K = min(k_cap, m)): one of the
-    occupied cells and one of the cells of unsettled vertices.  It has at
-    least K rows, so the K - 1 extra rows at most double it, and about
-    BAND_CELLS anchors, so the numpy calls per k stay few.  An anchor's
-    qualifying k depends on that anchor alone, so the yields do not
-    depend on the band height.
+    counts windows exactly, by inclusion-exclusion on two prefix tables
+    (occupied cells; cells of unsettled vertices) over its own nb + K - 1
+    rows of the 2 x 2 tiled lattice and the m + K - 1 columns a window
+    reaches (K = min(k_cap, m)).  It keeps the anchors whose K-window
+    holds r vertices, one unsettled, and finds their k by binary lifting:
+    from K, step down by each power of two, largest first, wherever the
+    smaller window still holds r.  Counts grow with k from 0 at k = 0, so
+    this is exact in about log2 K numpy calls.  A band has at least K
+    rows, so the extra rows at most double it, and about BAND_CELLS
+    anchors; the yields do not depend on its height.
     """
     m = lattice.m
     K = min(k_cap, m)
     band = max(K, math.ceil(BAND_CELLS / m))
     cols = np.arange(m + K - 1) % m
+
+    def box(T, i, j, k):
+        return T[i + k, j + k] - T[i, j + k] - T[i + k, j] + T[i, j]
+
     for i0 in range(0, m, band):
         nb = min(band, m - i0)
         cells = lattice.grid[np.ix_(np.arange(i0, i0 + nb + K - 1) % m, cols)]
@@ -265,20 +272,14 @@ def _candidate_squares(lattice: Lattice, r: int, k_cap: int, settled):
         P, Q = np.zeros((2, nb + K, m + K), dtype=np.int64)
         P[1:, 1:] = occupied.cumsum(0).cumsum(1)
         Q[1:, 1:] = (occupied & ~settled[cells]).cumsum(0).cumsum(1)
-        reached = np.zeros((nb, m), dtype=bool)
-        size = np.zeros((nb, m), dtype=int)  # qualifying k, 0 if none
-        for k in range(1, K + 1):
-            cnt = (P[k:k + nb, k:k + m] - P[:nb, k:k + m]
-                   - P[k:k + nb, :m] + P[:nb, :m])
-            newly = (cnt >= r) & ~reached
-            reached |= newly
-            size[newly & (cnt == r)] = k
-            if reached.all():
-                break
-        i, j = np.nonzero(size)
-        k = size[i, j]
-        hopeful = Q[i + k, j + k] - Q[i, j + k] - Q[i + k, j] + Q[i, j] > 0
-        for i, j, k in np.column_stack((i, j, k))[hopeful].tolist():
+        i, j = np.nonzero((box(P, *np.ogrid[:nb, :m], K) >= r)
+                          & (box(Q, *np.ogrid[:nb, :m], K) > 0))
+        k = np.full(len(i), K)
+        for step in 2 ** np.arange(K.bit_length())[::-1]:
+            down = np.maximum(k - step, 0)
+            k = np.where(box(P, i, j, down) >= r, down, k)
+        keep = (box(P, i, j, k) == r) & (box(Q, i, j, k) > 0)
+        for i, j, k in np.column_stack((i, j, k))[keep].tolist():
             window = cells[i:i + k, j:j + k]
             ids = window[window >= 0]
             if not settled[ids].all():

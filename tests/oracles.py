@@ -434,7 +434,9 @@ def restart_selection(graph, params, samples=None, model=None,
     """The earlier `run_selection` loop: rescan from the first anchor,
     offering only windows that hold an undecided vertex, after every
     iteration that marks vertices; stop when a full scan marks none.
-    Returns the report with `runtime_ms` = 0."""
+    Returns the report with `runtime_ms` = 0.  The rescans meet the same
+    windows again, so each window's core and zeta are derived once, and
+    each vertex's beta-ball is queried once."""
     p = graph.p
     beta = graph.params.beta
     if exact_cov and model is None:
@@ -443,11 +445,22 @@ def restart_selection(graph, params, samples=None, model=None,
     lattice = sel._quantize_with_backoff(graph, params.eps)
     k_cap = params.k_cap or sel.default_k_cap(
         params.r, graph.params.eta, lattice.eps, lattice.m)
-    tree = cKDTree(np.mod(graph.points, graph.torus.s), boxsize=graph.torus.s)
+    pts = np.mod(graph.points, graph.torus.s)
+    balls = cKDTree(pts, boxsize=graph.torus.s).query_ball_point(pts, beta)
 
     def markable(v, img_set):
-        ball = tree.query_ball_point(graph.points[v] % graph.torus.s, beta)
-        return all(u in img_set for u in ball)
+        return all(u in img_set for u in balls[v])
+
+    cores = {}  # (i, j, k) -> (h_slots, zeta): pure in the window
+
+    def core(i, j, k, ids):
+        if math.isinf(graph_distance(graph.adjacency, ids, ids)):
+            return list(range(len(ids))), math.inf
+        h_slots = sel._middle_slots(lattice, ids, (i, j, k))
+        if not h_slots:
+            return h_slots, None
+        dist = graph_distance(graph.adjacency, [ids[t] for t in h_slots], ids)
+        return h_slots, dist - 2 if math.isfinite(dist) else math.inf
 
     detected = np.zeros(p, dtype=bool)
     undecided = np.zeros(p, dtype=bool)
@@ -462,16 +475,11 @@ def restart_selection(graph, params, samples=None, model=None,
         progressed = False
         for i, j, k, ids in _target_candidate_squares(lattice, params.r,
                                                       target, k_cap):
-            if math.isinf(graph_distance(graph.adjacency, ids, ids)):
-                h_slots = list(range(len(ids)))
-                zeta = math.inf
-            else:
-                h_slots = sel._middle_slots(lattice, ids, (i, j, k))
-                if not h_slots:
-                    continue
-                dist = graph_distance(
-                    graph.adjacency, [ids[t] for t in h_slots], ids)
-                zeta = dist - 2 if math.isfinite(dist) else math.inf
+            if (i, j, k) not in cores:
+                cores[i, j, k] = core(i, j, k, ids)
+            h_slots, zeta = cores[i, j, k]
+            if not h_slots:
+                continue
             h_ids = [ids[t] for t in h_slots]
             h_set = set(h_ids)
             if not any(target[v] and markable(v, h_set) for v in h_ids):

@@ -3,6 +3,7 @@ import math
 import os
 
 import numpy as np
+import pytest
 from geoggm import cli
 from geoggm.graphgen import read_graph
 from geoggm.gmrf import read_samples
@@ -101,6 +102,19 @@ def test_select_warns_when_nothing_decided(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "no vertex decided" in err
     assert "r=2" in err and f"eps={blob['eps']:g}" in err
+
+
+@pytest.mark.parametrize("flags", [[], ["--samples", "x.csv", "--exact-cov"]],
+                         ids=["neither", "both"])
+def test_select_needs_exactly_one_covariance_source(tmp_path, capsys, flags):
+    """`select` takes either `--samples` or `--exact-cov`: with neither it
+    once crashed reading a file named None, and with both it ignored
+    `--samples`."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["select", "--graph", str(tmp_path / "g.txt"),
+                  "--out", str(tmp_path / "rep.json"), *flags])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
 
 
 def test_bounds_table(capsys):

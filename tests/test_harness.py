@@ -88,6 +88,9 @@ def test_run_experiment_skips_invalid_points(capsys):
     records = harness.run_experiment(cfg, log=msgs.append)
     assert len(records) == 1
     assert len(msgs) == 1 and "skipping" in msgs[0]
+    cfg.k_cap = 0  # rejected, where it once meant the default cap
+    assert harness.run_experiment(cfg, log=msgs.append) == []
+    assert len(msgs) == 3 and "k_cap" in msgs[2]
 
 
 @pytest.mark.parametrize("error", [np.linalg.LinAlgError,

@@ -1,5 +1,7 @@
 """Static checks: every name a geoggm module imports is referenced in it,
-and every parameter of a geoggm function is referenced in its body.
+every parameter of a geoggm function is referenced in its body, and every
+private module-level name is read somewhere in `src/` outside its own
+definition.
 
 No linter ships with the project, so this walks each module's syntax tree
 with the standard library.  For imports, `__init__.py` is skipped (its
@@ -81,3 +83,60 @@ def test_unused_parameters_checker():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_no_unused_parameters(path):
     assert unused_parameters(path.read_text()) == []
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """`module.name` for each module-level name with one leading underscore
+    (a function, class or assigned name) that no code outside its own
+    definition reads, in any of the `sources` (module name to text)."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    reads: dict[str, set[int]] = {}  # name -> ids of the nodes reading it
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                reads.setdefault(n.id, set()).add(id(n))
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                reads.setdefault(n.attr, set()).add(id(n))
+    found = []
+    for mod, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                           else [stmt.target])
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            inside = {id(n) for n in ast.walk(stmt)}
+            found += [f"{mod}.{name}" for name in names
+                      if name.startswith("_") and not name.startswith("__")
+                      and not reads.get(name, set()) - inside]
+    return sorted(found)
+
+
+def test_unreferenced_private_names_checker():
+    sources = {
+        "a": (
+            "__all__ = ['f']\n"
+            "_LIMIT = 3\n"
+            "_spare: int = 0\n"
+            "def _helper(x):\n"
+            "    return x + 1\n"
+            "def _loop(n):\n"
+            "    return _loop(n - 1) if n else 0\n"
+            "class _Box:\n"
+            "    pass\n"
+            "def f():\n"
+            "    return _helper(_LIMIT)\n"
+        ),
+        "b": "from . import a\nx = a._Box()\n",
+    }
+    assert unreferenced_private_names(sources) == ["a._loop", "a._spare"]
+
+
+def test_no_unreferenced_private_names():
+    sources = {p.stem: p.read_text() for p in ALL_MODULES}
+    assert unreferenced_private_names(sources) == []

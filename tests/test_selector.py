@@ -43,6 +43,9 @@ def test_selector_params_validation():
         sel.SelectorParams(r=2, eps=0.1, w=0.05, theta=0.2)  # w < eps
     with pytest.raises(ValueError):
         sel.SelectorParams(r=2, eps=0.1, w=0.2, theta=0.2, detect_threshold=0.3)
+    for k_cap in (0, -1):  # 0 once meant the default cap, -1 decided nothing
+        with pytest.raises(ValueError, match="k_cap"):
+            sel.SelectorParams(r=2, eps=0.1, w=0.2, theta=0.2, k_cap=k_cap)
     zero = sel.SelectorParams(r=2, eps=0.1, w=0.2, theta=0.0, detect_threshold=0.1)
     assert zero.detect_threshold == 0.1
 
@@ -505,6 +508,14 @@ def test_candidate_squares_window_contents_match_brute_scan():
     assert wrapped > 0  # some windows straddle the seam
 
 
+def _all_but_one(count, rng):
+    """A settled mask over every vertex but one drawn at random: the
+    single-hopeful shape, where few K-windows hold an unsettled vertex."""
+    settled = np.ones(count, bool)
+    settled[rng.integers(count)] = False
+    return settled
+
+
 def test_candidate_squares_offers_every_qualifying_anchor():
     """Every qualifying window is offered unless each of its vertices is
     settled."""
@@ -512,8 +523,9 @@ def test_candidate_squares_offers_every_qualifying_anchor():
     for lat, nodes, m, r in _random_lattices(11, 6):
         cap = max(3, m // 2)
         every = oracles.candidate_squares_scan(nodes, m, r, cap)
-        for density in (0.0, 0.5, 0.9):
-            settled = rng.random(len(nodes)) < density
+        masks = [rng.random(len(nodes)) < density for density in (0.0, 0.5, 0.9)]
+        masks.append(_all_but_one(len(nodes), np.random.default_rng(m)))
+        for settled in masks:
             got = list(sel._candidate_squares(lat, r, cap, settled))
             assert got == [w for w in every if not settled[w[3]].all()]
 
@@ -524,7 +536,8 @@ def scan_inputs(draw):
     m up to 220 (several bands), r in 2..8, k_cap below m, or at or above
     it for m <= 40 (a k_cap of m makes one band: larger m adds only time),
     a band size: the default, or small ones that force bands of K rows,
-    and a settled mask over none, about half or most of the vertices."""
+    and a settled mask over none, about half, most or all but one of the
+    vertices."""
     m = draw(st.one_of(st.integers(1, 40), st.integers(100, 220)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     occupied = rng.random((m, m)) < draw(st.sampled_from([0.02, 0.1, 0.5, 0.9]))
@@ -536,7 +549,9 @@ def scan_inputs(draw):
         k_caps += [st.just(m), st.integers(m + 1, m + 5)]
     k_cap = draw(st.one_of(*k_caps))
     band_cells = draw(st.sampled_from([sel.BAND_CELLS, 1, 97]))
-    settled = rng.random(len(nodes)) < draw(st.sampled_from([0.0, 0.5, 0.9]))
+    density = draw(st.sampled_from([0.0, 0.5, 0.9, None]))
+    settled = (_all_but_one(len(nodes), rng) if density is None
+               else rng.random(len(nodes)) < density)
     return lattice, draw(st.integers(2, 8)), k_cap, band_cells, settled
 
 
