@@ -46,7 +46,9 @@ class Torus:
 
     def wrap(self, xy):
         """Map coordinates into the fundamental domain [0, s)^2."""
-        return np.mod(np.asarray(xy, dtype=float), self.s)
+        w = np.mod(np.asarray(xy, dtype=float), self.s)
+        # np.mod rounds a tiny negative coordinate up to s itself
+        return np.where(w < self.s, w, 0.0)
 
     def delta(self, a, b):
         """Signed displacement b - a, each component wrapped to [-s/2, s/2)."""

@@ -140,19 +140,14 @@ class GeoGraph:
 
 
 def _candidate_pairs(points: np.ndarray, beta: float, torus: Torus):
-    """All vertex pairs within toroidal distance beta, with distances."""
-    s = torus.s
-    if beta >= 0.5 * s:
+    """All vertex pairs within toroidal distance beta, with their wrapped
+    displacements and distances."""
+    if beta >= 0.5 * torus.s:
         raise ValueError("beta must be below half the torus side")
-    wrapped = np.mod(points, s)
-    # boxsize-periodic kd-tree wants coordinates strictly inside [0, s)
-    wrapped[wrapped >= s] = 0.0
-    tree = cKDTree(wrapped, boxsize=s)
-    pairs = tree.query_pairs(r=beta, output_type="ndarray")
-    if len(pairs) == 0:
-        return pairs.reshape(0, 2), np.empty(0)
-    d = torus.delta(points[pairs[:, 0]], points[pairs[:, 1]])
-    return pairs, np.hypot(d[:, 0], d[:, 1])
+    tree = cKDTree(torus.wrap(points), boxsize=torus.s)
+    pairs = tree.query_pairs(r=beta, output_type="ndarray").reshape(-1, 2)
+    delta = torus.delta(points[pairs[:, 0]], points[pairs[:, 1]])
+    return pairs, delta, np.hypot(delta[:, 0], delta[:, 1])
 
 
 def build_edges(points, d: int, beta: float, torus: Torus) -> csr_matrix:
@@ -168,32 +163,30 @@ def build_edges(points, d: int, beta: float, torus: Torus) -> csr_matrix:
     """
     P = np.asarray(points, dtype=float)
     n = len(P)
-    pairs, dist = _candidate_pairs(P, beta, torus)
-    if len(pairs) == 0:
-        return csr_matrix((n, n), dtype=np.int8)
+    pairs, delta, dist = _candidate_pairs(P, beta, torus)
     a, b = P[pairs[:, 0]], P[pairs[:, 1]]
     swap = (a[:, 0] > b[:, 0]) | ((a[:, 0] == b[:, 0]) & (a[:, 1] > b[:, 1]))
     lo = np.where(swap[:, None], b, a)
-    hi = np.where(swap[:, None], a, b)
     tol = 1e-9 * torus.s
     dist_key = np.round(dist / tol).astype(np.int64)
-    delta = torus.delta(P[pairs[:, 0]], P[pairs[:, 1]])
     flip = (delta[:, 0] < 0) | ((delta[:, 0] == 0) & (delta[:, 1] < 0))
     delta[flip] *= -1.0
     dx_key = np.round(delta[:, 0] / tol).astype(np.int64)
     dy_key = np.round(delta[:, 1] / tol).astype(np.int64)
     order = np.lexsort((lo[:, 1], lo[:, 0], dy_key, dx_key, dist_key))
-    deg = np.zeros(n, dtype=int)
-    rows, cols = [], []
-    for idx in order:
-        u, v = int(pairs[idx, 0]), int(pairs[idx, 1])
+    deg = [0] * n
+    kept = []
+    for k, (u, v) in enumerate(zip(pairs[order, 0].tolist(),
+                                   pairs[order, 1].tolist())):
         if deg[u] < d and deg[v] < d:
             deg[u] += 1
             deg[v] += 1
-            rows += [u, v]
-            cols += [v, u]
+            kept.append(k)
+    uv = pairs[order[kept]]
+    # each edge enters as (u, v) then (v, u), in acceptance order
     adj = csr_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n)
+        (np.ones(2 * len(uv), dtype=np.int8), (uv.ravel(), uv[:, ::-1].ravel())),
+        shape=(n, n),
     )
     adj.sum_duplicates()
     return adj
@@ -239,26 +232,49 @@ def validate_family(g: GeoGraph) -> ValidationReport:
 
 
 def _place_anchors(rng, spec: PlantSpec, s: float) -> np.ndarray:
-    anchors = np.empty((spec.count, 2))
-    placed = 0
+    """Draw anchors one at a time and keep each that lies at least
+    `min_separation` from every anchor kept before it.
+
+    The draws come in batches of `count + 64`.  A kd-tree over the kept
+    anchors and the batch, queried a hair beyond the separation, proposes
+    the conflicts; each is decided by the exact wrapped distance from the
+    earlier point to the later draw.  The generator is then rewound to
+    just after the last draw used, where one draw at a time leaves it.
+    """
+    sep = spec.min_separation
+    anchors = np.empty((0, 2))
     attempts = 0
-    cap = 2000 * spec.count
-    while placed < spec.count:
-        attempts += 1
-        if attempts > cap:
-            raise RuntimeError(
-                f"could not place {spec.count} copies with separation "
-                f"{spec.min_separation} on a torus of side {s}"
-            )
-        c = rng.uniform(0.0, s, size=2)
+    while len(anchors) < spec.count:
+        state = rng.bit_generator.state
+        batch = rng.uniform(0.0, s, size=(spec.count + 64, 2))
         if spec.snap is not None:
-            c = np.round(c / spec.snap) * spec.snap % s
-        if placed:
-            delta = np.mod(anchors[:placed] - c + 0.5 * s, s) - 0.5 * s
-            if (np.hypot(delta[:, 0], delta[:, 1]) < spec.min_separation).any():
-                continue
-        anchors[placed] = c
-        placed += 1
+            batch = np.round(batch / spec.snap) * spec.snap % s
+        X = np.vstack([anchors, batch])
+        pairs = cKDTree(Torus(s).wrap(X), boxsize=s).query_pairs(
+            sep + 1e-9 * s, output_type="ndarray").reshape(-1, 2)
+        i, j = pairs[pairs[:, 1] >= len(anchors)].T
+        delta = np.mod(X[i] - X[j] + 0.5 * s, s) - 0.5 * s
+        hit = np.hypot(delta[:, 0], delta[:, 1]) < sep
+        clashes = [[] for _ in range(len(X))]
+        for a, b in zip(i[hit].tolist(), j[hit].tolist()):
+            clashes[b].append(a)
+        kept = list(range(len(anchors)))
+        ok = [True] * len(anchors) + [False] * len(batch)
+        for b in range(len(anchors), len(X)):
+            attempts += 1
+            if attempts > 2000 * spec.count:
+                raise RuntimeError(
+                    f"could not place {spec.count} copies with separation "
+                    f"{spec.min_separation} on a torus of side {s}"
+                )
+            if not any(ok[a] for a in clashes[b]):
+                ok[b] = True
+                kept.append(b)
+                if len(kept) == spec.count:
+                    break
+        rng.bit_generator.state = state
+        rng.uniform(0.0, s, size=(b + 1 - len(anchors), 2))
+        anchors = X[kept]
     return anchors
 
 
@@ -286,18 +302,23 @@ def generate(params: FamilyParams, plant: PlantSpec | None = None) -> GeoGraph:
             blocks.append(torus.wrap(c + grid_rotate(plant.points, q)))
         planted_pts = np.vstack(blocks)
         n_bg = params.p - n_planted
-        bg: list[np.ndarray] = []
-        if n_bg > 0:
-            tree = cKDTree(np.mod(planted_pts, params.s), boxsize=params.s)
-            attempts = 0
+        bg = np.empty((0, 2))
+        if n_bg:
+            # nothing draws after this loop, so it may draw past the last
+            # vertex it keeps, but never past the attempt cap
+            tree = cKDTree(planted_pts, boxsize=params.s)
+            cap = 2000 * n_bg
+            drawn = 0
             while len(bg) < n_bg:
-                attempts += 1
-                if attempts > 2000 * max(1, n_bg):
+                if drawn == cap:
                     raise RuntimeError("could not place background vertices")
-                c = rng.uniform(0.0, params.s, size=2)
-                if len(tree.query_ball_point(c, plant.clearance)) == 0:
-                    bg.append(c)
-        points = np.vstack([planted_pts] + ([np.array(bg)] if bg else []))
+                batch = rng.uniform(0.0, params.s,
+                                    size=(min(2 * n_bg, cap - drawn), 2))
+                drawn += len(batch)
+                near = tree.query_ball_point(batch, plant.clearance,
+                                             return_length=True)
+                bg = np.vstack([bg, batch[near == 0]])
+        points = np.vstack([planted_pts, bg[:n_bg]])
         plants = tuple(
             tuple(range(i * plant.size, (i + 1) * plant.size))
             for i in range(plant.count)

@@ -9,7 +9,6 @@ to every copy.  Undecidable vertices are reported, never guessed.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import time
@@ -175,15 +174,29 @@ def greedy_separated(copies: CopySet, w: float) -> CopySet:
     bottleneck distance between the vertex sets, so accepted occurrences
     are genuinely w-separated.  The first occurrence is always accepted.
     (A k-d tree ball query would also return centers at distance exactly
-    w, which this rule accepts.)
+    w, which this rule accepts.)  The accepted centers are kept in a grid
+    of n x n cells of side at least w, so a center is measured only
+    against those in its own and the eight neighbouring cells, which hold
+    every center closer than w; with n < 3 those are all the cells.
     """
     if not len(copies.matches):
         raise ValueError("no occurrences to separate")
     centers = copies.centers
+    s = copies.torus.s
+    # cells a hair wider than w, so that rounding a center into its cell
+    # cannot put a pair closer than w two cells apart
+    n = max(int(s // (w + 1e-9 * s)), 1) if w > 0 else 1
+    cells = (np.floor(centers / (s / n)).astype(np.int64) % n).tolist()
+    steps = (-1, 0, 1) if n > 2 else range(n)
+    grid: dict[tuple[int, int], list[int]] = {}
     accepted: list[int] = []
-    for idx, c in enumerate(centers):
-        if (copies.torus.distance(c, centers[accepted]) >= w).all():
+    for idx, (a, b) in enumerate(cells):
+        near = [k for da in steps for db in steps
+                for k in grid.get(((a + da) % n, (b + db) % n), ())]
+        if not near or (
+                copies.torus.distance(centers[idx], centers[near]) >= w).all():
             accepted.append(idx)
+            grid.setdefault((a, b), []).append(idx)
     copies.separated = accepted
     return copies
 
@@ -387,6 +400,20 @@ def _quantize_with_backoff(graph, eps: float):
     raise last
 
 
+def _ball_index(torus: Torus, points: np.ndarray, beta: float):
+    """Every vertex's beta-ball as CSR arrays (ptr, idx): the vertex itself
+    and each vertex within toroidal distance beta of it, in increasing
+    order, from one kd-tree pair query."""
+    p = len(points)
+    pairs = cKDTree(torus.wrap(points), boxsize=torus.s).query_pairs(
+        beta, output_type="ndarray")
+    own = np.arange(p)
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1], own])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0], own])
+    idx = cols[np.argsort(rows * p + cols)]
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=p)))), idx
+
+
 def _balls_inside(ball_ptr, ball_idx, images) -> np.ndarray:
     """Entry (n, t) is True iff the ball `ball_idx[ball_ptr[v]:ball_ptr[v + 1]]`
     of v = images[n, t] lies inside row n of the (N, h) array `images`.
@@ -461,14 +488,9 @@ def run_selection(
     k_cap = params.k_cap or default_k_cap(
         params.r, graph.params.eta, eps_used, lattice.m
     )
-    pts = graph.torus.wrap(graph.points)
-    balls = cKDTree(pts, boxsize=graph.torus.s).query_ball_point(pts, beta)
-    ball_len = np.fromiter(map(len, balls), dtype=np.intp, count=p)
-    ball_ptr = np.concatenate(([0], np.cumsum(ball_len)))
-    ball_idx = np.fromiter(itertools.chain.from_iterable(balls),
-                           dtype=np.intp, count=ball_ptr[-1])
+    ball_ptr, ball_idx = _ball_index(graph.torus, graph.points, beta)
     # an image holds at most r vertices, so a larger ball is never marked
-    hopeless = ball_len > params.r
+    hopeless = np.diff(ball_ptr) > params.r
     settled = hopeless.copy()
     codes, margins, declared = [np.zeros(0, int)], [np.zeros(0)], [np.zeros(0, bool)]
     copies_found = copies_used = iterations = 0

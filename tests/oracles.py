@@ -26,6 +26,11 @@ shapes of library code kept as references for their rewrites:
   before it went to arrays: one dict entry per vertex pair, replaced
   only by a strictly larger margin, and one set membership test per ball
   vertex.
+- `loop_build_edges`, `loop_place_anchors` and `loop_generate`, graph
+  synthesis before it went to lists and batches: one numpy degree lookup
+  per candidate pair, one anchor draw measured against every kept anchor
+  at a time, one background draw and ball query at a time, and `np.mod`
+  as the wrap.
 """
 import itertools
 import math
@@ -39,6 +44,7 @@ from scipy.sparse.csgraph import shortest_path
 from scipy.spatial import cKDTree
 
 from geoggm import selector as sel
+from geoggm.geometry import Torus, grid_rotate
 from geoggm.gmrf import assemble_precision, graph_distance
 
 
@@ -193,6 +199,104 @@ def greedy_edges_reference(points, d, beta, s):
     return edges
 
 
+def loop_build_edges(points, d, beta, torus):
+    """The earlier `build_edges`: the same candidate order, then one numpy
+    degree lookup per candidate pair."""
+    P = np.asarray(points, dtype=float)
+    n = len(P)
+    s = torus.s
+    wrapped = np.mod(P, s)
+    wrapped[wrapped >= s] = 0.0
+    pairs = cKDTree(wrapped, boxsize=s).query_pairs(
+        r=beta, output_type="ndarray").reshape(-1, 2)
+    if len(pairs) == 0:
+        return sp.csr_matrix((n, n), dtype=np.int8)
+    dd = torus.delta(P[pairs[:, 0]], P[pairs[:, 1]])
+    dist = np.hypot(dd[:, 0], dd[:, 1])
+    a, b = P[pairs[:, 0]], P[pairs[:, 1]]
+    swap = (a[:, 0] > b[:, 0]) | ((a[:, 0] == b[:, 0]) & (a[:, 1] > b[:, 1]))
+    lo = np.where(swap[:, None], b, a)
+    tol = 1e-9 * s
+    dist_key = np.round(dist / tol).astype(np.int64)
+    delta = torus.delta(P[pairs[:, 0]], P[pairs[:, 1]])
+    flip = (delta[:, 0] < 0) | ((delta[:, 0] == 0) & (delta[:, 1] < 0))
+    delta[flip] *= -1.0
+    dx_key = np.round(delta[:, 0] / tol).astype(np.int64)
+    dy_key = np.round(delta[:, 1] / tol).astype(np.int64)
+    order = np.lexsort((lo[:, 1], lo[:, 0], dy_key, dx_key, dist_key))
+    deg = np.zeros(n, dtype=int)
+    rows, cols = [], []
+    for idx in order:
+        u, v = int(pairs[idx, 0]), int(pairs[idx, 1])
+        if deg[u] < d and deg[v] < d:
+            deg[u] += 1
+            deg[v] += 1
+            rows += [u, v]
+            cols += [v, u]
+    adj = sp.csr_matrix(
+        (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
+    adj.sum_duplicates()
+    return adj
+
+
+def loop_place_anchors(rng, spec, s):
+    """The earlier `_place_anchors`: one draw at a time, each measured
+    against every anchor kept so far."""
+    anchors = np.empty((spec.count, 2))
+    placed = 0
+    attempts = 0
+    cap = 2000 * spec.count
+    while placed < spec.count:
+        attempts += 1
+        if attempts > cap:
+            raise RuntimeError(
+                f"could not place {spec.count} copies with separation "
+                f"{spec.min_separation} on a torus of side {s}"
+            )
+        c = rng.uniform(0.0, s, size=2)
+        if spec.snap is not None:
+            c = np.round(c / spec.snap) * spec.snap % s
+        if placed:
+            delta = np.mod(anchors[:placed] - c + 0.5 * s, s) - 0.5 * s
+            if (np.hypot(delta[:, 0], delta[:, 1]) < spec.min_separation).any():
+                continue
+        anchors[placed] = c
+        placed += 1
+    return anchors
+
+
+def loop_generate(params, plant=None):
+    """The earlier `generate`: `loop_place_anchors`, one background draw and
+    one ball query at a time, `np.mod` as the wrap, `loop_build_edges`.
+    Returns (points, adjacency)."""
+    s = params.s
+    torus = Torus(s)
+    rng = np.random.default_rng(params.seed)
+    if plant is None:
+        points = rng.uniform(0.0, s, size=(params.p, 2))
+    else:
+        anchors = loop_place_anchors(rng, plant, s)
+        blocks = []
+        for c in anchors:
+            q = int(rng.integers(4)) if plant.rotate else 0
+            blocks.append(np.mod(c + grid_rotate(plant.points, q), s))
+        planted_pts = np.vstack(blocks)
+        n_bg = params.p - plant.count * plant.size
+        bg = []
+        if n_bg > 0:
+            tree = cKDTree(np.mod(planted_pts, s), boxsize=s)
+            attempts = 0
+            while len(bg) < n_bg:
+                attempts += 1
+                if attempts > 2000 * n_bg:
+                    raise RuntimeError("could not place background vertices")
+                c = rng.uniform(0.0, s, size=2)
+                if len(tree.query_ball_point(c, plant.clearance)) == 0:
+                    bg.append(c)
+        points = np.vstack([planted_pts] + ([np.array(bg)] if bg else []))
+    return points, loop_build_edges(points, params.d, params.beta, torus)
+
+
 def rotate_cells(cells, quarter_turns):
     """Rotate and renormalize integer cell offsets."""
     out = [(int(a), int(b)) for a, b in cells]
@@ -209,11 +313,12 @@ def loop_interior_cells(cells):
     hull = gift_wrap_hull(np.asarray(cells, float))
     rmax = max(a for a, _ in cells)
     cmax = max(b for _, b in cells)
+    occupied = set(cells)
     return [
         (a, b)
         for a in range(rmax + 1)
         for b in range(cmax + 1)
-        if (a, b) not in set(cells)
+        if (a, b) not in occupied
         and point_in_polygon(np.array([a, b], float), hull, 1e-9)
     ]
 
@@ -282,6 +387,8 @@ def roll_find_copies(lattice, template, points, anchor=None):
         present = np.ones((m, m), dtype=bool)
         for a, b in rot.offsets:
             present &= np.roll(occ, (-a, -b), axis=(0, 1))
+        if not present.any():
+            continue  # the interior masks could only clear more placements
         for a, b in loop_interior_cells(rot.offsets):
             present &= ~np.roll(occ, (-a, -b), axis=(0, 1))
         I, J = np.nonzero(present)

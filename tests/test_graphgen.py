@@ -1,11 +1,19 @@
+import json
+import math
+import pathlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 from geoggm import graphgen as gg
+from geoggm import harness
 from geoggm.geometry import Torus, grid_rotate
 
 import oracles
+import plantcfg
 
 
 def small_params(**overrides):
@@ -221,3 +229,141 @@ def test_generate_deterministic():
     g2 = gg.generate(small_params(seed=21))
     assert np.array_equal(g1.points, g2.points)
     assert (g1.adjacency != g2.adjacency).nnz == 0
+
+
+def _csr_state(adj):
+    """Everything that makes two CSR matrices byte-identical."""
+    return adj.shape, [(a.dtype.str, a.tobytes())
+                       for a in (adj.indptr, adj.indices, adj.data)]
+
+
+@st.composite
+def edge_inputs(draw):
+    """Points on a torus of side s, a degree cap d in 1..4 and beta below
+    s/2: uniform points, or translated copies of one small pattern, whose
+    equal lengths leave the greedy order to the tie-breaks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = draw(st.floats(4.0, 16.0))
+    if draw(st.booleans()):
+        pts = rng.uniform(0.0, s, (draw(st.integers(0, 80)), 2))
+    else:
+        pattern = rng.uniform(0.0, 1.5, (draw(st.integers(1, 6)), 2))
+        shifts = rng.uniform(0.0, s, (draw(st.integers(1, 12)), 2))
+        pts = np.mod(shifts[:, None] + pattern, s).reshape(-1, 2)
+    return pts, draw(st.integers(1, 4)), draw(st.floats(0.3, 0.49 * s)), Torus(s)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(edge_inputs())
+def test_build_edges_matches_loop(inputs):
+    """The list-driven greedy loop gives the earlier loop's CSR, byte for
+    byte."""
+    pts, d, beta, torus = inputs
+    assert (_csr_state(gg.build_edges(pts, d, beta, torus))
+            == _csr_state(oracles.loop_build_edges(pts, d, beta, torus)))
+
+
+@st.composite
+def anchor_inputs(draw):
+    """A torus side, a one-point plant spec whose anchors fit (their
+    exclusion disks cover at most 1.2 times the torus, and a snap pitch
+    leaves at least 64 nodes), with no snap, a snap pitch that divides the
+    side or one that does not, and a seed."""
+    s = draw(st.floats(5.0, 40.0))
+    count = draw(st.integers(1, 30))
+    sep = s * math.sqrt(draw(st.floats(0.05, 1.2)) / (math.pi * count))
+    snap = draw(st.one_of(st.none(), st.integers(8, 60).map(lambda k: s / k),
+                          st.floats(8.0, 60.0).map(lambda k: s / k)))
+    spec = gg.PlantSpec(template=((0.0, 0.0),), count=count,
+                        min_separation=sep, clearance=0.0, snap=snap)
+    return spec, s, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(anchor_inputs())
+def test_place_anchors_matches_loop(inputs):
+    """Batched draws keep the anchors that one draw at a time keeps, and
+    leave the generator where it leaves it: the rotation draws follow."""
+    spec, s, seed = inputs
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert np.array_equal(gg._place_anchors(rng, spec, s),
+                          oracles.loop_place_anchors(ref, spec, s))
+    assert rng.uniform() == ref.uniform()
+
+
+def test_place_anchors_cap_on_infeasible_spec():
+    # two anchors 8 apart cannot fit: no two points of a torus of side 10
+    # are more than 5 * sqrt(2) apart
+    spec = gg.PlantSpec(template=((0.0, 0.0),), count=2, min_separation=8.0,
+                        clearance=0.0)
+    message = "could not place 2 copies with separation 8.0 on a torus of side 10.0"
+    for place in (gg._place_anchors, oracles.loop_place_anchors):
+        with pytest.raises(RuntimeError, match=message):
+            place(np.random.default_rng(0), spec, 10.0)
+
+
+class _Drawn(RuntimeError):
+    """Raised in place of drawing a graph; the harness skips the point."""
+
+
+def _bench_trend_specs():
+    """The (family, plant) pairs of the benchmark's trend graphs: its
+    harness config at master seed 0, drawn by `run_experiment` itself."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    spec = json.loads((root / "bench" / "workloads.json").read_text())["trend"]
+    cfg = dict(spec["config"], master_seed=0)
+    text = "\n".join(
+        f"{k} = {', '.join(map(str, v)) if isinstance(v, list) else v}"
+        for k, v in cfg.items())
+    drawn = []
+
+    def record(params, plant):
+        drawn.append((params, plant))
+        raise _Drawn
+
+    with mock.patch.object(harness, "generate", record):
+        assert harness.run_experiment(harness.parse_config(text)) == []
+    return drawn
+
+
+def _plantcfg_graphs(build):
+    """The (family, plant, graph) triples that `build()` draws through
+    `generate`."""
+    drawn = []
+    real = gg.generate
+
+    def record(params, plant=None):
+        drawn.append((params, plant, real(params, plant)))
+        return drawn[-1][2]
+
+    with mock.patch.object(gg, "generate", record):
+        build()
+    return drawn
+
+
+@pytest.mark.parametrize("family", [
+    "criterion4", "criterion5", "bench_trend", "background"])
+def test_generate_matches_loop(family):
+    """Identical points and adjacency to the earlier generate on the
+    criterion-4 and -5 graph seeds, the benchmark's trend graphs and a
+    plant with uniform background around it."""
+    if family == "criterion4":
+        drawn = _plantcfg_graphs(lambda: [
+            plantcfg.generic_plant_graph(p=500, theta=0.1, seed=seed)
+            for seed in range(20)])
+    elif family == "criterion5":
+        drawn = _plantcfg_graphs(lambda: [
+            plantcfg.grid_plant_graph(p=p, theta=0.11, seed=seed)
+            for seed in range(20) for p in (500, 2000, 8000)])
+    elif family == "bench_trend":
+        drawn = [(params, plant, gg.generate(params, plant))
+                 for params, plant in _bench_trend_specs()]
+    else:
+        drawn = _plantcfg_graphs(lambda: plantcfg.grid_plant_graph(
+            p=2000, theta=0.11, seed=4, count=60))
+        assert drawn[0][0].p > 60 * drawn[0][1].size
+    assert drawn
+    for params, plant, g in drawn:
+        points, adjacency = oracles.loop_generate(params, plant)
+        assert np.array_equal(g.points, points)
+        assert _csr_state(g.adjacency) == _csr_state(adjacency)

@@ -252,6 +252,90 @@ def test_greedy_separated_keeps_first_row(n, w, seed):
     assert sel.greedy_separated(copies, w).separated[0] == 0
 
 
+@st.composite
+def separation_inputs(draw):
+    """Centers on a torus of whole side m: on the whole-number lattice
+    (pairs exactly w apart), uniform, or crowded about the corner where
+    both seams meet; w whole or not, from below the lattice spacing to
+    the side, so also past s/3, where the grid has fewer than 3 cells."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(2, 24))
+    n = draw(st.integers(1, 80))
+    torus = Torus(float(m))
+    kind = draw(st.sampled_from(["lattice", "uniform", "seam"]))
+    if kind == "lattice":
+        centers = rng.integers(0, m, (n, 2)).astype(float)
+    elif kind == "uniform":
+        centers = rng.uniform(0, m, (n, 2))
+    else:
+        centers = torus.wrap(rng.uniform(-1.5, 1.5, (n, 2)))
+    w = draw(st.one_of(st.integers(1, m).map(float), st.floats(0.05, float(m))))
+    return centers, torus, w
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(separation_inputs())
+def test_greedy_separated_matches_scan(inputs):
+    """The cell grid accepts what measuring against every accepted
+    center accepts."""
+    centers, torus, w = inputs
+    copies = _single_node_copies(centers, torus)
+    occurrences = [oracles.Occurrence(None, 0, (i,), c)
+                   for i, c in enumerate(centers)]
+    assert (sel.greedy_separated(copies, w).separated
+            == oracles.scan_separated(occurrences, torus, w))
+
+
+@st.composite
+def ball_inputs(draw):
+    """Points on a torus of whole side m and a radius beta below m/2:
+    whole-number lattice points, with pairs exactly beta apart and
+    repeated points, or uniform points."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(3, 14))
+    n = draw(st.integers(1, 120))
+    if draw(st.booleans()):
+        pts = rng.integers(0, m, (n, 2)).astype(float)
+        beta = float(draw(st.integers(1, (m - 1) // 2)))
+    else:
+        pts = rng.uniform(0, m, (n, 2))
+        beta = draw(st.floats(0.1, 0.49 * m))
+    return pts, float(m), beta
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(ball_inputs())
+def test_ball_index_matches_ball_queries(inputs):
+    """The CSR beta-balls from one pair query equal the per-vertex ball
+    queries, in the same order."""
+    pts, s, beta = inputs
+    ptr, idx = sel._ball_index(Torus(s), pts, beta)
+    balls = cKDTree(pts, boxsize=s).query_ball_point(pts, beta)
+    assert np.diff(ptr).tolist() == [len(b) for b in balls]
+    assert idx.tolist() == [v for b in balls for v in b]
+
+
+def test_selection_takes_a_coordinate_just_below_zero(tmp_path):
+    """np.mod(-1e-20, s) is s itself, which the periodic kd-tree of the
+    beta-balls rejects; the wrap maps it to 0, so a graph file with that
+    coordinate selects as the same graph with the coordinate 0."""
+    graph, eps, _ = plantcfg.grid_plant_graph(p=100, theta=0.11, seed=2)
+    params = plantcfg.grid_plant_selector_params(0.11, eps)
+    v = int(np.argmin(graph.points[:, 0]))
+    reports = []
+    for x in ("-1e-20", "0.0"):
+        path = tmp_path / "graph.txt"
+        gg.write_graph(graph, path)
+        lines = path.read_text().splitlines()
+        lines[v + 1] = f"v {v} {x} {graph.points[v, 1]:.17g}"
+        path.write_text("\n".join(lines) + "\n")
+        reports.append(sel.run_selection(gg.read_graph(path), params,
+                                         exact_cov=True))
+    below, zero = reports
+    assert below.edges and below.edges == zero.edges
+    _assert_same_reports(below, zero)
+
+
 def test_pooled_scm_single_occurrence_is_plain_scm():
     rng = np.random.default_rng(6)
     X = rng.standard_normal((30, 6))
