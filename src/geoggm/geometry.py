@@ -1,9 +1,9 @@
 """Planar and toroidal point-set primitives.
 
-Distances on the flat torus, exact bottleneck matching between equal-size
-point sets, a grid-over-angles upper bound on rigid-motion similarity,
-convex hulls, contiguity tests, and snapping of vertex sets onto a regular
-lattice.
+Distances, close pairs and in-order separation on the flat torus, exact
+bottleneck matching between equal-size point sets, a grid-over-angles
+upper bound on rigid-motion similarity, convex hulls, contiguity tests,
+and snapping of vertex sets onto a regular lattice.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
+from scipy.spatial import cKDTree
 
 # Absolute tolerance for hull membership is HULL_TOL_FACTOR * (domain scale).
 HULL_TOL_FACTOR = 1e-9
@@ -60,6 +61,31 @@ class Torus:
         d = self.delta(a, b)
         out = np.hypot(d[..., 0], d[..., 1])
         return float(out) if out.ndim == 0 else out
+
+    def close_pairs(self, points, radius: float) -> np.ndarray:
+        """The (N, 2) index pairs i < j that a periodic kd-tree puts within
+        toroidal distance `radius` of each other."""
+        tree = cKDTree(self.wrap(points), boxsize=self.s)
+        return tree.query_pairs(radius, output_type="ndarray").reshape(-1, 2)
+
+    def separated(self, points, sep: float) -> list[int]:
+        """Indices of the points kept by a scan in order that keeps each
+        point unless an earlier kept point lies closer than `sep`.
+
+        The kd-tree, queried a hair beyond `sep`, proposes the pairs; each
+        is decided by the exact distance from the later point to the
+        earlier one, so a pair exactly `sep` apart does not clash.
+        """
+        X = np.asarray(points, dtype=float)
+        i, j = self.close_pairs(X, sep + 1e-9 * self.s).T
+        hit = self.distance(X[j], X[i]) < sep
+        clashes = [[] for _ in range(len(X))]
+        for a, b in zip(i[hit].tolist(), j[hit].tolist()):
+            clashes[b].append(a)
+        kept = [False] * len(X)
+        for b, earlier in enumerate(clashes):
+            kept[b] = not any(kept[a] for a in earlier)
+        return [b for b, ok in enumerate(kept) if ok]
 
 
 def _as_points(x, name: str) -> np.ndarray:
@@ -277,11 +303,8 @@ class PatternTemplate:
 
     def rotated(self, quarter_turns: int) -> "PatternTemplate":
         """Pattern rotated by quarter turns, renormalized, slot order kept."""
-        q = quarter_turns % 4
-        offs = self.offsets
-        for _ in range(q):
-            offs = tuple((-b, a) for a, b in offs)
-        return PatternTemplate.from_offsets(offs)
+        return PatternTemplate.from_offsets(
+            grid_rotate(self.offsets, quarter_turns))
 
     def interior_cells(self) -> tuple[tuple[int, int], ...]:
         """Non-occupied cells of the bounding square inside the pattern's hull.

@@ -144,8 +144,7 @@ def _candidate_pairs(points: np.ndarray, beta: float, torus: Torus):
     displacements and distances."""
     if beta >= 0.5 * torus.s:
         raise ValueError("beta must be below half the torus side")
-    tree = cKDTree(torus.wrap(points), boxsize=torus.s)
-    pairs = tree.query_pairs(r=beta, output_type="ndarray").reshape(-1, 2)
+    pairs = torus.close_pairs(points, beta)
     delta = torus.delta(points[pairs[:, 0]], points[pairs[:, 1]])
     return pairs, delta, np.hypot(delta[:, 0], delta[:, 1])
 
@@ -235,45 +234,31 @@ def _place_anchors(rng, spec: PlantSpec, s: float) -> np.ndarray:
     """Draw anchors one at a time and keep each that lies at least
     `min_separation` from every anchor kept before it.
 
-    The draws come in batches of `count + 64`.  A kd-tree over the kept
-    anchors and the batch, queried a hair beyond the separation, proposes
-    the conflicts; each is decided by the exact wrapped distance from the
-    earlier point to the later draw.  The generator is then rewound to
-    just after the last draw used, where one draw at a time leaves it.
+    The draws come in batches of `count + 64`, each separated in order
+    after the anchors kept so far, which stay kept.  The generator is then
+    rewound to just after the last draw used, where one draw at a time
+    leaves it.
     """
-    sep = spec.min_separation
+    torus = Torus(s)
     anchors = np.empty((0, 2))
-    attempts = 0
+    drawn = 0
     while len(anchors) < spec.count:
         state = rng.bit_generator.state
         batch = rng.uniform(0.0, s, size=(spec.count + 64, 2))
         if spec.snap is not None:
             batch = np.round(batch / spec.snap) * spec.snap % s
         X = np.vstack([anchors, batch])
-        pairs = cKDTree(Torus(s).wrap(X), boxsize=s).query_pairs(
-            sep + 1e-9 * s, output_type="ndarray").reshape(-1, 2)
-        i, j = pairs[pairs[:, 1] >= len(anchors)].T
-        delta = np.mod(X[i] - X[j] + 0.5 * s, s) - 0.5 * s
-        hit = np.hypot(delta[:, 0], delta[:, 1]) < sep
-        clashes = [[] for _ in range(len(X))]
-        for a, b in zip(i[hit].tolist(), j[hit].tolist()):
-            clashes[b].append(a)
-        kept = list(range(len(anchors)))
-        ok = [True] * len(anchors) + [False] * len(batch)
-        for b in range(len(anchors), len(X)):
-            attempts += 1
-            if attempts > 2000 * spec.count:
-                raise RuntimeError(
-                    f"could not place {spec.count} copies with separation "
-                    f"{spec.min_separation} on a torus of side {s}"
-                )
-            if not any(ok[a] for a in clashes[b]):
-                ok[b] = True
-                kept.append(b)
-                if len(kept) == spec.count:
-                    break
+        kept = torus.separated(X, spec.min_separation)[:spec.count]
+        used = (kept[-1] + 1 - len(anchors) if len(kept) == spec.count
+                else len(batch))
+        drawn += used
+        if drawn > 2000 * spec.count:
+            raise RuntimeError(
+                f"could not place {spec.count} copies with separation "
+                f"{spec.min_separation} on a torus of side {s}"
+            )
         rng.bit_generator.state = state
-        rng.uniform(0.0, s, size=(b + 1 - len(anchors), 2))
+        rng.uniform(0.0, s, size=(used, 2))
         anchors = X[kept]
     return anchors
 

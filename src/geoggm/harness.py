@@ -94,7 +94,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 raw[key] = float(value)
         else:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-    missing = {"p", "n", "theta", "d", "eta", "beta", "seeds"} - raw.keys()
+    missing = _LIST_KEYS - raw.keys()
     if missing:
         raise ValueError(f"missing required keys: {sorted(missing)}")
     return ExperimentConfig(**raw)

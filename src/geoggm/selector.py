@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 from .geometry import (
     CollisionError,
@@ -96,14 +95,15 @@ def default_params(p: int, theta: float, **overrides) -> SelectorParams:
 class CopySet:
     """A pattern and all its matched occurrences, one row each (the
     original first when known): `matches` holds the (N, size) vertex ids
-    in template slot order, `centers` the (N, 2) occurrence centers, and
-    `separated` the indices of the pooling subset chosen for separation."""
+    in template slot order, `centers` the (N, 2) occurrence centers on
+    `torus`, and `separated` the indices of the pooling subset chosen for
+    separation."""
 
     template: PatternTemplate
     matches: np.ndarray
     centers: np.ndarray
+    torus: Torus
     separated: list[int] = field(default_factory=list)
-    torus: Torus | None = None
 
 
 def find_copies(lattice: Lattice, template: PatternTemplate, graph,
@@ -172,32 +172,12 @@ def greedy_separated(copies: CopySet, w: float) -> CopySet:
     An occurrence is accepted iff its center is at least `w` (toroidal)
     from every accepted one; the center distance lower-bounds the
     bottleneck distance between the vertex sets, so accepted occurrences
-    are genuinely w-separated.  The first occurrence is always accepted.
-    (A k-d tree ball query would also return centers at distance exactly
-    w, which this rule accepts.)  The accepted centers are kept in a grid
-    of n x n cells of side at least w, so a center is measured only
-    against those in its own and the eight neighbouring cells, which hold
-    every center closer than w; with n < 3 those are all the cells.
+    are genuinely w-separated.  The first occurrence is always accepted,
+    and centers exactly w apart do not clash.
     """
     if not len(copies.matches):
         raise ValueError("no occurrences to separate")
-    centers = copies.centers
-    s = copies.torus.s
-    # cells a hair wider than w, so that rounding a center into its cell
-    # cannot put a pair closer than w two cells apart
-    n = max(int(s // (w + 1e-9 * s)), 1) if w > 0 else 1
-    cells = (np.floor(centers / (s / n)).astype(np.int64) % n).tolist()
-    steps = (-1, 0, 1) if n > 2 else range(n)
-    grid: dict[tuple[int, int], list[int]] = {}
-    accepted: list[int] = []
-    for idx, (a, b) in enumerate(cells):
-        near = [k for da in steps for db in steps
-                for k in grid.get(((a + da) % n, (b + db) % n), ())]
-        if not near or (
-                copies.torus.distance(centers[idx], centers[near]) >= w).all():
-            accepted.append(idx)
-            grid.setdefault((a, b), []).append(idx)
-    copies.separated = accepted
+    copies.separated = copies.torus.separated(copies.centers, w)
     return copies
 
 
@@ -405,8 +385,7 @@ def _ball_index(torus: Torus, points: np.ndarray, beta: float):
     and each vertex within toroidal distance beta of it, in increasing
     order, from one kd-tree pair query."""
     p = len(points)
-    pairs = cKDTree(torus.wrap(points), boxsize=torus.s).query_pairs(
-        beta, output_type="ndarray")
+    pairs = torus.close_pairs(points, beta)
     own = np.arange(p)
     rows = np.concatenate([pairs[:, 0], pairs[:, 1], own])
     cols = np.concatenate([pairs[:, 1], pairs[:, 0], own])

@@ -257,7 +257,8 @@ def separation_inputs(draw):
     """Centers on a torus of whole side m: on the whole-number lattice
     (pairs exactly w apart), uniform, or crowded about the corner where
     both seams meet; w whole or not, from below the lattice spacing to
-    the side, so also past s/3, where the grid has fewer than 3 cells."""
+    the side, so also past s/sqrt(2), where every pair is a kd-tree
+    candidate."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = draw(st.integers(2, 24))
     n = draw(st.integers(1, 80))
@@ -276,14 +277,27 @@ def separation_inputs(draw):
 @settings(max_examples=300, deadline=None, database=None)
 @given(separation_inputs())
 def test_greedy_separated_matches_scan(inputs):
-    """The cell grid accepts what measuring against every accepted
-    center accepts."""
+    """The kd-tree candidates accept what measuring against every
+    accepted center accepts."""
     centers, torus, w = inputs
     copies = _single_node_copies(centers, torus)
     occurrences = [oracles.Occurrence(None, 0, (i,), c)
                    for i, c in enumerate(centers)]
     assert (sel.greedy_separated(copies, w).separated
             == oracles.scan_separated(occurrences, torus, w))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(separation_inputs(), st.floats(0.0, 1.0))
+def test_separated_keeps_a_separated_prefix(inputs, cut):
+    """Points kept by one scan stay kept, in front, when later points are
+    scanned after them: `_place_anchors` separates each batch after the
+    anchors it already holds."""
+    centers, torus, sep = inputs
+    X, Y = np.split(centers, [round(cut * len(centers))])
+    S = torus.separated(X, sep)
+    both = torus.separated(np.vstack([X[S], Y]), sep)
+    assert both[:len(S)] == list(range(len(S)))
 
 
 @st.composite
