@@ -39,6 +39,10 @@ class SampleMatrix:
             raise ValueError("need at least one sample")
         if self.data.shape[0] != self.n:
             raise ValueError("row count disagrees with n")
+        bad = np.argwhere(~np.isfinite(self.data))
+        if len(bad):
+            raise ValueError("non-finite sample at (row, column) "
+                             f"{tuple(bad[0].tolist())}")
 
     @property
     def p(self) -> int:

@@ -337,16 +337,20 @@ def write_graph(g: GeoGraph, path) -> None:
 def read_graph(path) -> GeoGraph:
     """Inverse of write_graph.  Planting bookkeeping is not serialized.
 
-    Raises ValueError unless every vertex 0..p-1 has exactly one vertex
-    line and every edge joins two distinct in-range vertices once.
+    Raises ValueError unless the header side is sqrt(p / eta) to 1e-9
+    relative, every vertex 0..p-1 has exactly one vertex line with finite
+    coordinates, and every edge joins two distinct in-range vertices once.
     """
     with open(path) as fh:
         header = fh.readline().split()
-        p, _s, eta, beta, d, theta, seed = header
+        p, s, eta, beta, d, theta, seed = header
         params = FamilyParams(
             p=int(p), eta=float(eta), d=int(d), beta=float(beta),
             theta=float(theta), seed=int(seed),
         )
+        if not abs(float(s) - params.s) <= 1e-9 * params.s:
+            raise ValueError(
+                f"header side {s} disagrees with sqrt(p / eta) = {params.s!r}")
         points = np.zeros((params.p, 2))
         listed = np.zeros(params.p, dtype=int)
         rows, cols = [], []
@@ -361,6 +365,8 @@ def read_graph(path) -> GeoGraph:
                     raise ValueError(f"vertex id {v} outside [0, {params.p})")
                 listed[v] += 1
                 points[v] = (float(parts[2]), float(parts[3]))
+                if not np.isfinite(points[v]).all():
+                    raise ValueError(f"vertex {v} has a non-finite coordinate")
             elif parts[0] == "e":
                 u, v = int(parts[1]), int(parts[2])
                 if not (0 <= u < params.p and 0 <= v < params.p):

@@ -129,15 +129,10 @@ def find_copies(lattice: Lattice, template: PatternTemplate, graph,
     m = lattice.m
     if template.k > m:
         raise ValueError("pattern exceeds the lattice size")
-    seen_patterns: set[frozenset] = set()
-    rows: list[list[int]] = [] if first is None else [list(first)]
-    seen_sets: set[frozenset] = {frozenset(ids) for ids in rows}
+    blocks = [np.reshape(np.asarray([] if first is None else first, dtype=int),
+                         (-1, template.size))]
     for q in range(4):
         rot = template.rotated(q)
-        key = frozenset(rot.offsets)
-        if key in seen_patterns:
-            continue
-        seen_patterns.add(key)
         # one placement per occupied node under the first offset, so the
         # codes i * m + j are distinct; sorting them orders rows row-major
         (a0, b0), *later = rot.offsets
@@ -151,13 +146,11 @@ def find_copies(lattice: Lattice, template: PatternTemplate, graph,
         # the pattern offsets come first in `cells`, the hull interior after
         cells = np.array(rot.offsets + rot.interior_cells())
         found = grid[(i[:, None] + cells[:, 0]) % m, (j[:, None] + cells[:, 1]) % m]
-        keep = (found[:, rot.size:] < 0).all(axis=1)
-        for ids in found[keep, :rot.size].tolist():
-            if frozenset(ids) in seen_sets:
-                continue
-            seen_sets.add(frozenset(ids))
-            rows.append(ids)
-    matches = np.array(rows, dtype=int).reshape(len(rows), template.size)
+        blocks.append(found[(found[:, rot.size:] < 0).all(axis=1), :rot.size])
+    rows = np.concatenate(blocks)
+    # each vertex set's first row in scan order
+    _, idx = np.unique(np.sort(rows, axis=1), axis=0, return_index=True)
+    matches = rows[np.sort(idx)]
     pts = graph.points[matches]
     torus = lattice.torus
     local = torus.delta(pts[:, :1], pts)
@@ -380,34 +373,26 @@ def _quantize_with_backoff(graph, eps: float):
     raise last
 
 
-def _ball_index(torus: Torus, points: np.ndarray, beta: float):
-    """Every vertex's beta-ball as CSR arrays (ptr, idx): the vertex itself
-    and each vertex within toroidal distance beta of it, in increasing
-    order, from one kd-tree pair query."""
+def _close_pairs(torus: Torus, points: np.ndarray, beta: float):
+    """Every vertex's beta-ball from one kd-tree pair query: the sorted
+    codes u * p + v (u < v) of the pairs within toroidal distance beta,
+    closed by the sentinel p * p so that every lookup lands in range, and
+    the ball sizes, each ball holding its own vertex."""
     p = len(points)
     pairs = torus.close_pairs(points, beta)
-    own = np.arange(p)
-    rows = np.concatenate([pairs[:, 0], pairs[:, 1], own])
-    cols = np.concatenate([pairs[:, 1], pairs[:, 0], own])
-    idx = cols[np.argsort(rows * p + cols)]
-    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=p)))), idx
+    codes = np.append(np.sort(pairs[:, 0] * p + pairs[:, 1]), p * p)
+    return codes, np.bincount(pairs.ravel(), minlength=p) + 1
 
 
-def _balls_inside(ball_ptr, ball_idx, images) -> np.ndarray:
-    """Entry (n, t) is True iff the ball `ball_idx[ball_ptr[v]:ball_ptr[v + 1]]`
-    of v = images[n, t] lies inside row n of the (N, h) array `images`.
-    Every ball must hold at least one id (a beta-ball holds its vertex)."""
-    # membership keys row * p + vertex, with p = len(ball_ptr) - 1
-    verts = images.ravel()
-    row_key = np.repeat(np.arange(len(images)) * (len(ball_ptr) - 1), images.shape[1])
-    keys = np.sort(row_key + verts)
-    starts = ball_ptr[verts]
-    lens = ball_ptr[verts + 1] - starts
-    seg = np.cumsum(lens) - lens  # each ball's first entry in the gather
-    gather = np.arange(lens.sum()) + np.repeat(starts - seg, lens)
-    want = np.repeat(row_key, lens) + ball_idx[gather]
-    pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-    return np.logical_and.reduceat(keys[pos] == want, seg).reshape(images.shape)
+def _balls_inside(pair_codes, ball_sizes, images) -> np.ndarray:
+    """Entry (n, t) is True iff the ball of v = images[n, t] lies inside
+    row n of the (N, h) array `images` of distinct vertices per row: the
+    row holds v and every vertex paired with v in `pair_codes`."""
+    p = len(ball_sizes)
+    u, v = images[:, :, None], images[:, None, :]
+    want = np.minimum(u, v) * p + np.maximum(u, v)
+    held = pair_codes[np.searchsorted(pair_codes, want)] == want
+    return held.sum(axis=2) + 1 == ball_sizes[images]
 
 
 def _resolve_pairs(codes, margins, declared):
@@ -461,15 +446,23 @@ def run_selection(
         raise ValueError("need samples unless exact_cov is set")
     elif samples.p != p:
         raise ValueError("sample dimension disagrees with the graph")
+    # a decided vertex has every edge inside its beta-ball; both code
+    # arrays hold distinct codes, which spares setdiff1d a hashed dedupe
+    pair_codes, ball_sizes = _close_pairs(graph.torus, graph.points, beta)
+    edges = sp.triu(graph.adjacency, k=1)
+    far = np.setdiff1d(edges.row.astype(np.int64) * p + edges.col, pair_codes,
+                       assume_unique=True)
+    if len(far):
+        u, v = divmod(int(far[0]), p)
+        raise ValueError(f"edge ({u}, {v}) is longer than beta = {beta}")
 
     lattice = _quantize_with_backoff(graph, params.eps)
     eps_used = lattice.eps
     k_cap = params.k_cap or default_k_cap(
         params.r, graph.params.eta, eps_used, lattice.m
     )
-    ball_ptr, ball_idx = _ball_index(graph.torus, graph.points, beta)
     # an image holds at most r vertices, so a larger ball is never marked
-    hopeless = np.diff(ball_ptr) > params.r
+    hopeless = ball_sizes > params.r
     settled = hopeless.copy()
     codes, margins, declared = [np.zeros(0, int)], [np.zeros(0)], [np.zeros(0, bool)]
     copies_found = copies_used = iterations = 0
@@ -490,7 +483,7 @@ def run_selection(
         # cheap viability screen: the window's own core must decide
         # at least one new vertex, else copies cannot either; it runs
         # before the core's distance search, which it does not need
-        if not (_balls_inside(ball_ptr, ball_idx, h_ids) & ~settled[h_ids]).any():
+        if not (_balls_inside(pair_codes, ball_sizes, h_ids) & ~settled[h_ids]).any():
             continue
         zeta = (math.inf if closed
                 else graph_distance(graph.adjacency, h_ids[0], ids) - 2)
@@ -524,7 +517,7 @@ def run_selection(
         margin = np.abs(np.abs(j_hat[a, b]) - params.detect_threshold)
         margins.append(np.broadcast_to(margin, u.shape).ravel())
         declared.append(np.broadcast_to(adj_h[a, b], u.shape).ravel())
-        settled[images[_balls_inside(ball_ptr, ball_idx, images)]] = True
+        settled[images[_balls_inside(pair_codes, ball_sizes, images)]] = True
         iterations += 1
         achieved_zetas.append(zeta)
         if settled.all():

@@ -510,3 +510,18 @@ def test_samples_csv_round_trip(tmp_path):
     s2 = gmrf.read_samples(path)
     assert s2.n == 9 and s2.p == 7 and s2.seed == 13
     assert np.array_equal(s.data, s2.data)
+
+
+def test_samples_reject_non_finite_entries(tmp_path):
+    """A NaN or infinite entry is refused, from a CSV and from an array:
+    pooled over copies it would otherwise settle every vertex with no
+    edge."""
+    path = tmp_path / "snap.csv"
+    path.write_text("2 3 0\n0.1,0.2,0.3\n0.4,nan,0.6\n")
+    with pytest.raises(ValueError,
+                       match=r"non-finite sample at \(row, column\) \(1, 1\)"):
+        gmrf.read_samples(path)
+    data = np.zeros((2, 3))
+    data[0, 2] = np.inf
+    with pytest.raises(ValueError, match=r"\(0, 2\)"):
+        gmrf.SampleMatrix(n=2, data=data, seed=0)

@@ -214,14 +214,38 @@ _VERTICES = ["v 0 0.1 0.2", "v 1 0.5 0.6", "v 2 1.0 1.1", "v 3 1.4 1.5",
     (_VERTICES + ["e 0 5"], "outside"),
     (_VERTICES + ["e 0 0"], "self-loop"),
     (_VERTICES + ["e 0 1", "e 1 0"], "listed twice"),
+    (_VERTICES[:2] + ["v 2 nan 1.1"] + _VERTICES[3:], "vertex 2 has a non-finite"),
+    (_VERTICES[:4] + ["v 4 1.8 -inf"], "vertex 4 has a non-finite"),
 ], ids=["negative_vertex", "vertex_id_p", "missing_vertex", "duplicate_vertex",
-        "edge_out_of_range", "self_loop", "duplicate_edge"])
+        "edge_out_of_range", "self_loop", "duplicate_edge", "nan_coordinate",
+        "infinite_coordinate"])
 def test_read_graph_rejects_malformed(tmp_path, body, message):
     path = tmp_path / "graph.txt"
     # header: a valid family (p=5, eta=1, beta=1.05 < s/2, d=1, theta=0.1)
     path.write_text("\n".join(["5 2.23606797749979 1 1.05 1 0.1 0"] + body) + "\n")
     with pytest.raises(ValueError, match=message):
         gg.read_graph(path)
+
+
+@pytest.mark.parametrize("side, ok", [
+    ("10", True), ("10.000000009", True), ("99.0", False), ("10.00000002", False),
+    ("nan", False),
+])
+def test_read_graph_checks_the_header_side(tmp_path, side, ok):
+    """The header side must be sqrt(p / eta) to 1e-9 relative: a side the
+    reader cannot honour is refused, not dropped."""
+    g = gg.generate(gg.FamilyParams(p=100, eta=1.0, d=2, beta=2.0, theta=0.1))
+    path = tmp_path / "graph.txt"
+    gg.write_graph(g, path)
+    header, *body = path.read_text().splitlines()
+    assert header.split()[1] == "10"
+    path.write_text("\n".join([" ".join([header.split()[0], side] + header.split()[2:])]
+                              + body) + "\n")
+    if ok:
+        assert gg.read_graph(path).params.s == 10.0
+    else:
+        with pytest.raises(ValueError, match="header side"):
+            gg.read_graph(path)
 
 
 def test_generate_deterministic():

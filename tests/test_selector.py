@@ -319,14 +319,37 @@ def ball_inputs(draw):
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(ball_inputs())
-def test_ball_index_matches_ball_queries(inputs):
-    """The CSR beta-balls from one pair query equal the per-vertex ball
-    queries, in the same order."""
+def test_close_pairs_match_ball_queries(inputs):
+    """The pair codes and ball sizes from one pair query equal the
+    per-vertex ball queries: the codes are the pairs u < v, sorted and
+    closed by the sentinel p * p."""
     pts, s, beta = inputs
-    ptr, idx = sel._ball_index(Torus(s), pts, beta)
+    p = len(pts)
+    codes, sizes = sel._close_pairs(Torus(s), pts, beta)
     balls = cKDTree(pts, boxsize=s).query_ball_point(pts, beta)
-    assert np.diff(ptr).tolist() == [len(b) for b in balls]
-    assert idx.tolist() == [v for b in balls for v in b]
+    assert sizes.tolist() == [len(b) for b in balls]
+    assert codes.tolist() == sorted(
+        u * p + v for u, b in enumerate(balls) for v in b if u < v) + [p * p]
+
+
+def test_selection_rejects_an_edge_longer_than_beta():
+    """A decided vertex has all its edges inside its beta-ball, so a graph
+    with a longer edge is refused, not reported as decided."""
+    graph, eps, _ = plantcfg.grid_plant_graph(p=100, theta=0.11, seed=2)
+    params = plantcfg.grid_plant_selector_params(0.11, eps)
+    far = int(np.argmax(graph.torus.distance(graph.points[0], graph.points)))
+    assert graph.torus.distance(graph.points[0], graph.points[far]) > graph.params.beta
+    # drop one edge at each end and join the ends: no degree exceeds d
+    A = graph.adjacency.tolil()
+    for u in (0, far):
+        w = A.rows[u][0]
+        A[u, w] = A[w, u] = 0
+    A[0, far] = A[far, 0] = 1
+    A = A.tocsr()
+    A.eliminate_zeros()
+    graph = dataclasses.replace(graph, adjacency=A)
+    with pytest.raises(ValueError, match=rf"edge \(0, {far}\) is longer than beta"):
+        sel.run_selection(graph, params, exact_cov=True)
 
 
 def test_selection_takes_a_coordinate_just_below_zero(tmp_path):
@@ -1055,15 +1078,14 @@ def test_resolve_pairs_matches_dict_loop(rows):
 
 @st.composite
 def balls_and_images(draw):
-    """Random balls over p vertices, each holding its own vertex, and
+    """Random symmetric balls over p vertices, each holding its own vertex
+    (u in the ball of v iff v in the ball of u, as for beta-balls), and
     overlapping images: rows of distinct vertices drawn from the same p."""
     p = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    extra = draw(st.integers(0, p))
-    balls = []
-    for v in range(p):
-        others = rng.permutation(p)[:rng.integers(0, extra + 1)]
-        balls.append(rng.permutation(np.union1d([v], others)).tolist())
+    near = np.triu(rng.random((p, p)) < draw(st.floats(0.0, 1.0)), 1)
+    near |= near.T | np.eye(p, dtype=bool)
+    balls = [rng.permutation(np.flatnonzero(row)).tolist() for row in near]
     h = draw(st.integers(1, p))
     images = np.array([rng.permutation(p)[:h]
                        for _ in range(draw(st.integers(1, 6)))])
@@ -1074,9 +1096,10 @@ def balls_and_images(draw):
 @given(balls_and_images())
 def test_balls_inside_matches_set_loop(inputs):
     balls, images = inputs
-    ptr = np.concatenate(([0], np.cumsum([len(b) for b in balls])))
-    idx = np.array([u for ball in balls for u in ball], dtype=np.intp)
-    got = sel._balls_inside(ptr, idx, images)
+    p = len(balls)
+    codes = sorted(u * p + v for u, ball in enumerate(balls) for v in ball if u < v)
+    got = sel._balls_inside(np.array(codes + [p * p]),
+                            np.array([len(b) for b in balls]), images)
     assert got.tolist() == oracles.set_balls_inside(balls, images)
 
 
