@@ -325,16 +325,41 @@ class Lattice:
     """Regular m x m square lattice of pitch `eps` covering the torus.
 
     Node (i, j) sits at (i * eps, j * eps); the seam coincides with row and
-    column 0.  Two index arrays say which vertex sits where: `nodes[v]` is
-    the (row, col) node of vertex v (a (p, 2) int array) and `grid[i, j]`
-    is the vertex on node (i, j), or -1 where the node is empty.
+    column 0.  Only the occupied nodes are stored: `nodes[v]` is the
+    (row, col) node of vertex v (a (p, 2) int array), `codes` the sorted
+    node codes i * m + j of the occupied nodes, closed by the sentinel
+    m * m so that every lookup lands in range, and `vertices` the vertex
+    on each code, in the same order (-1 under the sentinel).
     """
 
     eps: float
     m: int
     nodes: np.ndarray
-    grid: np.ndarray
+    codes: np.ndarray
+    vertices: np.ndarray
     torus: Torus
+
+    def lookup(self, i, j) -> np.ndarray:
+        """The vertex on each node (i mod m, j mod m) of the index arrays
+        `i` and `j`, or -1 where the node is empty."""
+        m = self.m
+        want = np.asarray(i, dtype=np.int64) % m * m + np.asarray(j) % m
+        at = np.searchsorted(self.codes, want)
+        return np.where(self.codes[at] == want, self.vertices[at], -1)
+
+    def tiled_block(self, i0: int, rows: int, cols: int) -> np.ndarray:
+        """The rows x cols block of the 2 x 2 tiled lattice from node
+        (i0, 0), i0 < m, as int32 vertex ids, -1 on empty nodes (i0 + rows
+        and cols at most 2m).  Only the vertices in the block's rows are
+        read: one code range before the seam and, past it, one after."""
+        m = self.m
+        cells = np.full((rows, m), -1, dtype=np.int32)
+        for base in range(0, i0 + rows, m):
+            lo, hi = np.clip((i0 - base, i0 + rows - base), 0, m)
+            at = slice(*np.searchsorted(self.codes, (lo * m, hi * m)))
+            a, b = np.divmod(self.codes[at], m)
+            cells[a + base - i0, b] = self.vertices[at]
+        return np.hstack((cells, cells[:, :cols - m]))
 
 
 def snap_eps(eps: float, s: float) -> float:
@@ -348,7 +373,7 @@ def quantize(graph, eps: float) -> Lattice:
 
     The torus side must be an integer multiple of `eps`.  Displacements are
     at most eps/sqrt(2).  Ties on cell midlines round toward the lower
-    node index.  Returns the lattice with both index arrays filled.  Raises
+    node index.  Returns the lattice with its node codes sorted.  Raises
     CollisionError if two vertices land on one node: `vertex_b` is the
     lowest vertex landing on an occupied node and `vertex_a` the lowest
     vertex on that node.
@@ -368,12 +393,13 @@ def quantize(graph, eps: float) -> Lattice:
     bound = eps / math.sqrt(2.0) + 1e-12 * s
     if (disp > bound).any():
         raise AssertionError("quantization displacement exceeded eps/sqrt(2)")
-    vertices = np.arange(len(idx), dtype=np.int32)
-    grid = np.full((m, m), len(idx), dtype=np.int32)
-    np.minimum.at(grid, tuple(idx.T), vertices)  # lowest vertex per node
-    clash = np.nonzero(grid[tuple(idx.T)] != vertices)[0]
-    if len(clash):
-        v = int(clash[0])
-        raise CollisionError(int(grid[tuple(idx[v])]), v, tuple(idx[v].tolist()))
-    grid[grid == len(idx)] = -1
-    return Lattice(eps=eps, m=m, nodes=idx, grid=grid, torus=torus)
+    codes = idx[:, 0] * m + idx[:, 1]
+    order = np.argsort(codes, kind="stable")  # a node's vertices ascend
+    codes = codes[order]
+    later = order[1:][codes[1:] == codes[:-1]]  # all but each node's lowest
+    if len(later):
+        v = int(later.min())
+        lowest = order[np.searchsorted(codes, idx[v, 0] * m + idx[v, 1])]
+        raise CollisionError(int(lowest), v, tuple(idx[v].tolist()))
+    return Lattice(eps=eps, m=m, nodes=idx, codes=np.append(codes, m * m),
+                   vertices=np.append(order, -1), torus=torus)

@@ -22,6 +22,7 @@ from .geometry import (
     Lattice,
     PatternTemplate,
     Torus,
+    grid_rotate,
     quantize,
     snap_eps,
 )
@@ -106,6 +107,15 @@ class CopySet:
     separated: list[int] = field(default_factory=list)
 
 
+def _rotated_cells(template: PatternTemplate) -> list[np.ndarray]:
+    """The pattern offsets, in slot order, then the hull-interior cells,
+    under each quarter turn q = 0..3 and shifted as `template.rotated(q)`
+    normalizes them: one hull for all four rotations."""
+    cells = np.array(template.offsets + template.interior_cells())
+    rotations = [grid_rotate(cells, q).astype(int) for q in range(4)]
+    return [rot - rot[:template.size].min(axis=0) for rot in rotations]
+
+
 def find_copies(lattice: Lattice, template: PatternTemplate, graph,
                 first=None) -> CopySet:
     """All placements where a rotation of the pattern occurs contiguously.
@@ -125,28 +135,25 @@ def find_copies(lattice: Lattice, template: PatternTemplate, graph,
     on the lattice and another placement lists the same vertices in
     another order.
     """
-    grid = lattice.grid
     m = lattice.m
     if template.k > m:
         raise ValueError("pattern exceeds the lattice size")
     blocks = [np.reshape(np.asarray([] if first is None else first, dtype=int),
                          (-1, template.size))]
-    for q in range(4):
-        rot = template.rotated(q)
+    for rot in _rotated_cells(template):
         # one placement per occupied node under the first offset, so the
         # codes i * m + j are distinct; sorting them orders rows row-major
-        (a0, b0), *later = rot.offsets
+        (a0, b0), *later = rot[:template.size].tolist()
         i, j = np.divmod(np.sort((lattice.nodes[:, 0] - a0) % m * m
                                  + (lattice.nodes[:, 1] - b0) % m), m)
         for a, b in later:
-            hit = grid[(i + a) % m, (j + b) % m] >= 0
+            hit = lattice.lookup(i + a, j + b) >= 0
             i, j = i[hit], j[hit]
         if not len(i):
             continue
-        # the pattern offsets come first in `cells`, the hull interior after
-        cells = np.array(rot.offsets + rot.interior_cells())
-        found = grid[(i[:, None] + cells[:, 0]) % m, (j[:, None] + cells[:, 1]) % m]
-        blocks.append(found[(found[:, rot.size:] < 0).all(axis=1), :rot.size])
+        found = lattice.lookup(i[:, None] + rot[:, 0], j[:, None] + rot[:, 1])
+        blocks.append(found[(found[:, template.size:] < 0).all(axis=1),
+                            :template.size])
     rows = np.concatenate(blocks)
     # each vertex set's first row in scan order
     _, idx = np.unique(np.sort(rows, axis=1), axis=0, return_index=True)
@@ -246,20 +253,21 @@ def _candidate_squares(lattice: Lattice, r: int, k_cap: int, settled):
     m = lattice.m
     K = min(k_cap, m)
     band = max(K, math.ceil(BAND_CELLS / m))
-    cols = np.arange(m + K - 1) % m
 
     def box(T, i, j, k):
         return T[i + k, j + k] - T[i, j + k] - T[i + k, j] + T[i, j]
 
     for i0 in range(0, m, band):
         nb = min(band, m - i0)
-        cells = lattice.grid[np.ix_(np.arange(i0, i0 + nb + K - 1) % m, cols)]
+        cells = lattice.tiled_block(i0, nb + K - 1, m + K - 1)
         occupied = cells >= 0
-        P, Q = np.zeros((2, nb + K, m + K), dtype=np.int64)
-        P[1:, 1:] = occupied.cumsum(0).cumsum(1)
-        Q[1:, 1:] = (occupied & ~settled[cells]).cumsum(0).cumsum(1)
-        i, j = np.nonzero((box(P, *np.ogrid[:nb, :m], K) >= r)
-                          & (box(Q, *np.ogrid[:nb, :m], K) > 0))
+        P, Q = (np.pad(c.cumsum(0, dtype=np.int32).cumsum(1, dtype=np.int32),
+                       ((1, 0), (1, 0)))
+                for c in (occupied, occupied & ~settled[cells]))
+        # every anchor's K-window count, from four slices
+        i, j = np.nonzero(
+            (P[K:, K:] - P[:nb, K:] - P[K:, :m] + P[:nb, :m] >= r)
+            & (Q[K:, K:] - Q[:nb, K:] - Q[K:, :m] + Q[:nb, :m] > 0))
         k = np.full(len(i), K)
         for step in 2 ** np.arange(K.bit_length())[::-1]:
             down = np.maximum(k - step, 0)
@@ -398,9 +406,10 @@ def _balls_inside(pair_codes, ball_sizes, images) -> np.ndarray:
 def _resolve_pairs(codes, margins, declared):
     """Resolve the decision rows of a run, one row per (copy, slot pair)
     in the order they were made.  Each pair code keeps the row of largest
-    margin, the earliest on equal margins.  Returns the sorted codes kept
-    as declared edges and the number of codes whose rows disagree."""
-    order = np.lexsort((np.arange(len(codes)), -margins, codes))
+    margin, the earliest on equal margins, since `np.lexsort` is stable.
+    Returns the sorted codes kept as declared edges and the number of
+    codes whose rows disagree."""
+    order = np.lexsort((-margins, codes))
     codes, declared = codes[order], declared[order]
     first = np.flatnonzero(np.diff(codes, prepend=-1))
     agree = (np.logical_and.reduceat(declared, first)

@@ -361,7 +361,7 @@ def roll_find_copies(lattice, template, points, anchor=None):
     deduplicated by vertex set.  With `anchor`, the rotation-0 placement
     there comes first and every later placement covering its vertex set is
     dropped."""
-    grid = lattice.grid
+    grid = dense_grid(lattice)
     occ = grid >= 0
     m = lattice.m
     torus = lattice.torus
@@ -445,6 +445,14 @@ def raw_rotation_position_matches(occupancy, cells):
     return count
 
 
+def dense_grid(lattice):
+    """The m x m array of the vertex on each lattice node, -1 where the
+    node is empty, built from `lattice.nodes` alone."""
+    grid = np.full((lattice.m, lattice.m), -1, dtype=np.int32)
+    grid[tuple(lattice.nodes.T)] = np.arange(len(lattice.nodes))
+    return grid
+
+
 def first_node_collision(nodes):
     """Vertex-order scan for the first vertex landing on an occupied node:
     (that node's first vertex, the vertex, the node), or None."""
@@ -486,7 +494,7 @@ def table_candidate_squares(lattice, r, k_cap):
     the 2 x 2 tiled lattice and every k up to the cap evaluated for all
     anchors at once, then the qualifying windows in row-major order."""
     m = lattice.m
-    tiled = np.tile(lattice.grid, (2, 2))
+    tiled = np.tile(dense_grid(lattice), (2, 2))
     P = np.zeros((2 * m + 1, 2 * m + 1), dtype=np.int64)
     P[1:, 1:] = (tiled >= 0).cumsum(0).cumsum(1)
     reached = np.zeros((m, m), dtype=bool)
@@ -509,7 +517,7 @@ def _target_candidate_squares(lattice, r, target, k_cap):
     """The earlier scan: occupancy and target box counts from two prefix
     tables; a window qualifies when it holds a target vertex."""
     m = lattice.m
-    tiled = np.tile(lattice.grid, (2, 2))
+    tiled = np.tile(dense_grid(lattice), (2, 2))
 
     def box_counts(cells):
         P = np.zeros((2 * m + 1, 2 * m + 1), dtype=np.int64)

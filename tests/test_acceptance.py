@@ -397,8 +397,9 @@ def test_criterion_11_pattern_search_exactness():
         template = PatternTemplate.from_offsets(cells)
         copies = sel.find_copies(lattice, template, cloud)
         got = {frozenset(row) for row in copies.matches.tolist()}
+        grid = oracles.dense_grid(lattice)
         want = {
-            frozenset(lattice.grid[nd] for nd in nodes_)
+            frozenset(grid[nd] for nd in nodes_)
             for *_, nodes_ in oracles.brute_copy_scan(occ.tolist(), cells)
         }
         if got != want:

@@ -326,14 +326,52 @@ def test_quantize_collision_matches_vertex_order_scan():
         if want is None:
             lat = geo.quantize(g, eps)
             assert np.array_equal(lat.nodes, nodes)
-            assert (lat.grid[nodes[:, 0], nodes[:, 1]] == np.arange(len(nodes))).all()
-            assert (lat.grid >= 0).sum() == len(nodes)
+            assert (lat.lookup(*np.indices((m, m))) == oracles.dense_grid(lat)).all()
             continue
         clashes += 1
         with pytest.raises(geo.CollisionError) as exc:
             geo.quantize(g, eps)
         assert (exc.value.vertex_a, exc.value.vertex_b, exc.value.node) == want
     assert clashes >= 10
+
+
+def test_quantize_collision_on_crowded_nodes():
+    """Three or four vertices on one node and three clashing nodes: the
+    clash reported is not that of the lowest node, nor of the most crowded
+    one, but that of the lowest vertex landing on an occupied node."""
+    on = {(4, 4): [0, 7, 8, 9], (0, 1): [1, 5, 6], (2, 2): [2, 4], (5, 0): [3]}
+    nodes = [None] * 10
+    for node, vertices in on.items():
+        for v in vertices:
+            nodes[v] = node
+    with pytest.raises(geo.CollisionError) as exc:
+        geo.quantize(PointCloud(nodes, 6.0), 1.0)
+    got = (exc.value.vertex_a, exc.value.vertex_b, exc.value.node)
+    assert got == oracles.first_node_collision(nodes) == (2, 4, (2, 2))
+    rng = np.random.default_rng(5)
+    for m in (1, 2, 3):
+        for p in (10, 20):  # more vertices than nodes
+            nodes = rng.integers(0, m, size=(p, 2))
+            with pytest.raises(geo.CollisionError) as exc:
+                geo.quantize(PointCloud(nodes, float(m)), 1.0)
+            got = (exc.value.vertex_a, exc.value.vertex_b, exc.value.node)
+            assert got == oracles.first_node_collision(nodes.tolist())
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(1, 30), st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+       st.integers(0, 2**32 - 1))
+def test_lattice_lookup_matches_dense_grid(m, density, seed):
+    """The node-code lookup equals the dense m x m grid on every node and
+    on indices past the seam or negative, which wrap modulo m."""
+    rng = np.random.default_rng(seed)
+    occupied = rng.random((m, m)) < density
+    nodes = np.argwhere(occupied)[rng.permutation(int(occupied.sum()))]
+    lat = geo.quantize(PointCloud(nodes * 0.5, m * 0.5), 0.5)
+    grid = oracles.dense_grid(lat)
+    assert (lat.lookup(*np.indices((m, m))) == grid).all()
+    i, j = rng.integers(-3 * m, 3 * m, size=(2, 500))
+    assert (lat.lookup(i, j) == grid[i % m, j % m]).all()
 
 
 def test_quantize_requires_divisible_side():
@@ -353,7 +391,8 @@ def test_quantize_seam_wraps_to_node_zero():
     g = PointCloud([(9.9, 0.2)], 10.0)
     lat = geo.quantize(g, 0.5)
     assert lat.nodes[0].tolist() == [0, 0]
-    assert lat.m == 20 and lat.grid.shape == (20, 20)
+    assert lat.m == 20 and oracles.dense_grid(lat).shape == (20, 20)
+    assert lat.lookup([0, 20, -20], [0, -20, 40]).tolist() == [0, 0, 0]
 
 
 def test_pattern_template_normalization():

@@ -109,12 +109,28 @@ def test_find_copies_matches_brute_force_scan():
         tm = PatternTemplate.from_offsets(cells)
         copies = sel.find_copies(lat, tm, cloud)
         got = {frozenset(row) for row in copies.matches.tolist()}
-        oracle = oracles.brute_copy_scan(lat.grid >= 0, cells)
+        grid = oracles.dense_grid(lat)
+        oracle = oracles.brute_copy_scan(grid >= 0, cells)
         want = {
-            frozenset(lat.grid[nd] for nd in nodes_)
+            frozenset(grid[nd] for nd in nodes_)
             for *_, nodes_ in oracle
         }
         assert got == want
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                min_size=1, max_size=12, unique=True))
+def test_rotated_cells_match_rotated_templates(offsets):
+    """One hull serves all four rotations: each quarter turn gives the
+    rotated template's offsets in slot order, then its interior cells."""
+    template = PatternTemplate.from_offsets(offsets)
+    for q, cells in enumerate(sel._rotated_cells(template)):
+        rot = template.rotated(q)
+        interior = cells[template.size:].tolist()
+        assert cells[:template.size].tolist() == [list(o) for o in rot.offsets]
+        assert len(interior) == len(rot.interior_cells())
+        assert set(map(tuple, interior)) == set(rot.interior_cells())
 
 
 def test_find_copies_periodic_pattern_keeps_window_row():
@@ -160,7 +176,7 @@ def copy_inputs(draw):
         k = draw(st.integers(2, m))
         i, j = m - draw(st.integers(1, k - 1)), m - draw(st.integers(1, k - 1))
         span = np.arange(k)
-        cells = lattice.grid[np.ix_((i + span) % m, (j + span) % m)]
+        cells = oracles.dense_grid(lattice)[np.ix_((i + span) % m, (j + span) % m)]
         ids = sorted(cells[cells >= 0].tolist())
         if ids:
             window = (ids, i, j)
@@ -791,6 +807,31 @@ def test_find_copies_memory():
     finally:
         tracemalloc.stop()
     assert copies.matches.tolist() == [planted]
+    assert peak < 32 * 2**20
+
+
+def test_quantize_and_first_window_memory_on_a_fine_lattice():
+    """Quantize plus the first window of an m = 19,072 lattice holding
+    20,000 vertices allocates the node codes and one band: an m x m int32
+    node grid alone would be 1.45 GB."""
+    m = 19_072
+    rng = np.random.default_rng(0)
+    cells = rng.choice(m * m, size=20_000, replace=False)
+    nodes = [(i, j) for i, j in np.column_stack(np.divmod(cells, m)).tolist()
+             if not (i < 40 and j < 40)][:19_996]
+    planted = list(range(len(nodes), len(nodes) + 4))
+    nodes += [(5, 5), (5, 6), (6, 5), (6, 6)]
+    cloud = _Cloud(nodes, float(m))
+    tracemalloc.start()
+    try:
+        lattice = quantize(cloud, 1.0)
+        first = next(sel._candidate_squares(lattice, 4, 18,
+                                            np.zeros(len(nodes), bool)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(nodes) == 20_000 and lattice.m == m
+    assert first == (0, 0, 7, planted)
     assert peak < 32 * 2**20
 
 
