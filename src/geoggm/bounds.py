@@ -10,7 +10,12 @@ from __future__ import annotations
 import math
 
 
-def _check_family(eta: float, beta: float, d: int):
+def check_family(eta: float, beta: float, d: int):
+    """Refuse (eta, beta, d) outside the model class: eta, beta finite and
+    positive, d >= 1 and eta*beta^2 > d (a positive Fano bound)."""
+    for name, val in (("eta", eta), ("beta", beta)):
+        if not math.isfinite(val):
+            raise ValueError(f"{name} must be finite, got {val}")
     if eta <= 0 or beta <= 0 or d < 1:
         raise ValueError("eta, beta must be positive and d >= 1")
     if eta * beta * beta <= d:
@@ -29,7 +34,7 @@ def fano_lower_bound(eta: float, beta: float, d: int, theta: float,
     `delta` is the tolerated residual error probability (0 = vanishing
     error).
     """
-    _check_family(eta, beta, d)
+    check_family(eta, beta, d)
     if not (0 < theta and d * theta < 0.5):
         raise ValueError("need 0 < theta and d*theta < 1/2")
     if not 0.0 <= delta < 1.0:
@@ -41,7 +46,7 @@ def fano_lower_bound(eta: float, beta: float, d: int, theta: float,
 def family_log_size_nats(eta: float, beta: float, d: int, p: int) -> float:
     """Lower bound on ln of the number of admissible graphs:
     (d*p/2) * ln(eta*beta^2/d)."""
-    _check_family(eta, beta, d)
+    check_family(eta, beta, d)
     if p < 1:
         raise ValueError("p must be positive")
     return 0.5 * d * p * math.log(eta * beta * beta / d)

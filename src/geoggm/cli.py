@@ -13,7 +13,7 @@ import sys
 from . import bounds as bounds_mod
 from .graphgen import FamilyParams, generate, read_graph, write_graph
 from .gmrf import assemble_precision, read_samples, write_samples
-from .harness import emit_outputs, read_config, run_experiment
+from .harness import emit_outputs, parse_config, run_experiment
 from .selector import default_params, run_selection
 
 
@@ -102,7 +102,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    cfg = read_config(args.config)
+    with open(args.config) as fh:
+        cfg = parse_config(fh.read())
     if args.out is not None:
         cfg.out = args.out
     records = run_experiment(cfg, log=lambda msg: print(msg, file=sys.stderr))

@@ -189,9 +189,7 @@ def convex_hull(points) -> np.ndarray:
     if len(P) == 0:
         raise ValueError("need at least one point")
     pts = sorted(set(map(tuple, P.tolist())))
-    if len(pts) == 1:
-        return np.array(pts)
-    if len(pts) == 2:
+    if len(pts) <= 2:
         return np.array(pts)
     lower = []
     for q in pts:
@@ -203,10 +201,7 @@ def convex_hull(points) -> np.ndarray:
         while len(upper) >= 2 and _cross(upper[-2], upper[-1], q) <= 0:
             upper.pop()
         upper.append(q)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 2:  # fully collinear input collapses the chains
-        hull = [pts[0], pts[-1]]
-    return np.array(hull)
+    return np.array(lower[:-1] + upper[:-1])
 
 
 def point_in_hull(points, hull: np.ndarray, tol: float) -> np.ndarray:

@@ -118,7 +118,6 @@ class PrecisionModel:
             raise NotPositiveDefinite("factorization lost symmetry")
         self._dvec = dvec
         self._Lt = self._lu.L.T.tocsr()
-        self._scatter = np.argsort(self._lu.perm_c)
 
     def covariance(self) -> np.ndarray:
         """Dense inverse of J, by p linear solves.  Only sensible for
@@ -142,8 +141,7 @@ class PrecisionModel:
         z = rng.standard_normal((self.p, n))
         y = z / np.sqrt(self._dvec)[:, None]
         xp = spsolve_triangular(self._Lt, y, lower=False)
-        x = np.empty_like(xp)
-        x[self._scatter] = xp
+        x = xp[self._lu.perm_c]
         return SampleMatrix(n=n, data=np.ascontiguousarray(x.T), seed=seed)
 
 

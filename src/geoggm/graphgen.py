@@ -16,6 +16,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
+from .bounds import check_family
 from .geometry import Torus, grid_rotate
 
 
@@ -38,18 +39,11 @@ class FamilyParams:
     def __post_init__(self):
         if self.p < 1:
             raise ValueError("p must be positive")
-        if self.eta <= 0 or self.beta <= 0:
-            raise ValueError("eta and beta must be positive")
-        if self.d < 1:
-            raise ValueError("d must be at least 1")
-        if self.theta < 0:
-            raise ValueError("theta must be nonnegative")
+        check_family(self.eta, self.beta, self.d)
+        if not (math.isfinite(self.theta) and self.theta >= 0):
+            raise ValueError(f"theta must be finite and nonnegative, got {self.theta}")
         if self.d * self.theta >= 0.5:
             raise ValueError(f"d*theta = {self.d * self.theta} must be < 1/2")
-        if self.eta * self.beta**2 <= self.d:
-            raise ValueError(
-                f"eta*beta^2 = {self.eta * self.beta ** 2} must exceed d = {self.d}"
-            )
         if self.beta >= 0.5 * self.s:
             raise ValueError("beta must be below half the torus side")
 
@@ -117,7 +111,6 @@ class GeoGraph:
     adjacency: csr_matrix
     torus: Torus
     plants: tuple[tuple[int, ...], ...] | None = None
-    plant_template: np.ndarray | None = None
 
     @property
     def p(self) -> int:
@@ -125,11 +118,6 @@ class GeoGraph:
 
     def degrees(self) -> np.ndarray:
         return np.asarray(self.adjacency.sum(axis=1)).ravel().astype(int)
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.adjacency.indices[
-            self.adjacency.indptr[v]:self.adjacency.indptr[v + 1]
-        ]
 
     def edges(self) -> list[tuple[int, int]]:
         coo = self.adjacency.tocoo()
@@ -275,7 +263,6 @@ def generate(params: FamilyParams, plant: PlantSpec | None = None) -> GeoGraph:
     if plant is None:
         points = rng.uniform(0.0, params.s, size=(params.p, 2))
         plants = None
-        template = None
     else:
         n_planted = plant.count * plant.size
         if n_planted > params.p:
@@ -308,7 +295,6 @@ def generate(params: FamilyParams, plant: PlantSpec | None = None) -> GeoGraph:
             tuple(range(i * plant.size, (i + 1) * plant.size))
             for i in range(plant.count)
         )
-        template = plant.points.copy()
     adjacency = build_edges(points, params.d, params.beta, torus)
     return GeoGraph(
         params=params,
@@ -316,7 +302,6 @@ def generate(params: FamilyParams, plant: PlantSpec | None = None) -> GeoGraph:
         adjacency=adjacency,
         torus=torus,
         plants=plants,
-        plant_template=template,
     )
 
 
@@ -355,11 +340,14 @@ def read_graph(path) -> GeoGraph:
         listed = np.zeros(params.p, dtype=int)
         rows, cols = [], []
         seen_edges: set[tuple[int, int]] = set()
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             parts = line.split()
             if not parts:
                 continue
             if parts[0] == "v":
+                if len(parts) != 4:
+                    raise ValueError(f"line {lineno}: expected `v id x y`, "
+                                     f"got {line.strip()!r}")
                 v = int(parts[1])
                 if not 0 <= v < params.p:
                     raise ValueError(f"vertex id {v} outside [0, {params.p})")
@@ -368,6 +356,9 @@ def read_graph(path) -> GeoGraph:
                 if not np.isfinite(points[v]).all():
                     raise ValueError(f"vertex {v} has a non-finite coordinate")
             elif parts[0] == "e":
+                if len(parts) != 3:
+                    raise ValueError(f"line {lineno}: expected `e u v`, "
+                                     f"got {line.strip()!r}")
                 u, v = int(parts[1]), int(parts[2])
                 if not (0 <= u < params.p and 0 <= v < params.p):
                     raise ValueError(f"edge ({u}, {v}) outside [0, {params.p})")

@@ -14,7 +14,8 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, asdict
+import typing
+from dataclasses import MISSING, dataclass, asdict, fields
 
 import numpy as np
 
@@ -24,19 +25,10 @@ from .graphgen import FamilyParams, PlantSpec, generate
 from .gmrf import NotPositiveDefinite, assemble_precision
 from .selector import SelectorParams, run_selection
 
-_LIST_KEYS = {"p", "n", "theta", "d", "eta", "beta", "seeds"}
-_SCALAR_KEYS = {
-    "r", "eps", "w", "threshold", "min_zeta", "k_cap",
-    "plant_r", "plant_count", "plant_frac", "plant_grid", "plant_rotate",
-    "master_seed", "out",
-}
-_INT_KEYS = {"p", "n", "d", "seeds", "r", "min_zeta", "k_cap", "plant_r",
-             "plant_count", "plant_grid", "master_seed"}
-
 
 @dataclass
 class ExperimentConfig:
-    """Sweep lists plus selector overrides and optional planting recipe."""
+    """Sweep lists, selector overrides and planting recipe; one field per key."""
 
     p: list[int]
     n: list[int]
@@ -62,6 +54,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("need at least one seed")
+        # summary rows are keyed by (p, n, theta, d): one family per sweep
+        for name, values in (("eta", self.eta), ("beta", self.beta)):
+            if len(values) > 1:
+                raise ValueError(f"{name} takes one value, got {values}")
         for d_val, theta in itertools.product(self.d, self.theta):
             if d_val * theta >= 0.5:
                 raise ValueError(
@@ -71,6 +67,7 @@ class ExperimentConfig:
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key-value format; `#` starts a comment."""
+    kinds = typing.get_type_hints(ExperimentConfig)
     raw: dict = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -79,30 +76,24 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected `key = value`")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in _LIST_KEYS:
-            items = [tok.strip() for tok in value.split(",") if tok.strip()]
-            conv = int if key in _INT_KEYS else float
-            raw[key] = [conv(tok) for tok in items]
-        elif key in _SCALAR_KEYS:
-            if key == "out":
-                raw[key] = value
-            elif key == "plant_rotate":
-                raw[key] = value.lower() in ("1", "true", "yes")
-            elif key in _INT_KEYS:
-                raw[key] = int(value)
-            else:
-                raw[key] = float(value)
-        else:
+        if key not in kinds:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-    missing = _LIST_KEYS - raw.keys()
+        raw[key] = _parse_value(kinds[key], value)
+    missing = [f.name for f in fields(ExperimentConfig)
+               if f.default is MISSING and f.name not in raw]
     if missing:
         raise ValueError(f"missing required keys: {sorted(missing)}")
     return ExperimentConfig(**raw)
 
 
-def read_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+def _parse_value(kind, value: str):
+    """`value` as `kind`: list[T], T | None, bool or a plain type T."""
+    conv = next((a for a in typing.get_args(kind) if a is not type(None)), kind)
+    if typing.get_origin(kind) is list:
+        return [conv(tok.strip()) for tok in value.split(",") if tok.strip()]
+    if conv is bool:
+        return value.lower() in ("1", "true", "yes")
+    return conv(value)
 
 
 def _entropy_words(master: int, seed: int, **params) -> list[int]:

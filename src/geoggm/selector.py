@@ -60,6 +60,10 @@ class SelectorParams:
     k_cap: int | None = None
 
     def __post_init__(self):
+        for name in ("eps", "w", "theta", "detect_threshold"):
+            val = getattr(self, name)
+            if val is not None and not math.isfinite(val):
+                raise ValueError(f"{name} must be finite, got {val}")
         if self.r < 2:
             raise ValueError("r must be at least 2")
         if self.eps <= 0:

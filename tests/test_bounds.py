@@ -5,6 +5,7 @@ import pytest
 
 from geoggm import bounds
 from geoggm import gmrf
+from geoggm import graphgen as gg
 
 import oracles
 
@@ -23,6 +24,24 @@ def test_fano_lower_bound_boundary_errors():
         bounds.fano_lower_bound(eta=1.0, beta=4.0, d=4, theta=0.0)
     with pytest.raises(ValueError):
         bounds.fano_lower_bound(eta=1.0, beta=4.0, d=4, theta=0.125)
+
+
+def test_family_boundary_refused_by_params_and_bounds():
+    """eta*beta^2 = d exactly (0.5 * 2^2 = 2) lies outside the model class
+    for the graph family and the Fano bound alike."""
+    with pytest.raises(ValueError, match="must exceed d"):
+        gg.FamilyParams(p=100, eta=0.5, d=2, beta=2.0, theta=0.1)
+    with pytest.raises(ValueError, match="must exceed d"):
+        bounds.fano_lower_bound(eta=0.5, beta=2.0, d=2, theta=0.1)
+
+
+@pytest.mark.parametrize("eta, beta", [(math.nan, 4.0), (math.inf, 4.0),
+                                       (1.0, math.nan), (1.0, math.inf)])
+def test_check_family_refuses_non_finite(eta, beta):
+    for calc in (lambda: bounds.fano_lower_bound(eta, beta, 4, 0.1),
+                 lambda: bounds.family_log_size_nats(eta, beta, 4, 100)):
+        with pytest.raises(ValueError, match="must be finite"):
+            calc()
 
 
 def test_fano_lower_bound_diverges_as_theta_vanishes():

@@ -455,8 +455,7 @@ def _planted_graph(seed, jitter=0.0, rotate=True):
         pts[planted] += noise_rng.uniform(-jitter, jitter, (len(planted), 2))
         adjacency = gg.build_edges(pts, prm.d, prm.beta, g.torus)
         g = gg.GeoGraph(params=prm, points=pts, adjacency=adjacency,
-                        torus=g.torus, plants=g.plants,
-                        plant_template=g.plant_template)
+                        torus=g.torus, plants=g.plants)
     return g
 
 

@@ -43,6 +43,14 @@ def test_family_params_invariants():
         small_params(p=0)
 
 
+@pytest.mark.parametrize("name", ["eta", "beta", "theta"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_family_params_refuse_non_finite(name, bad):
+    # theta = nan once reached the factorization as an exactly singular J
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        small_params(**{name: bad})
+
+
 def test_sample_vertices_range_and_determinism():
     prm = small_params()
     pts = gg.generate(prm).points
@@ -171,7 +179,7 @@ def test_planted_copies_isolated_from_background():
     for plant in g.plants:
         members = set(plant)
         for v in plant:
-            assert set(g.neighbors(v).tolist()) <= members
+            assert set(g.adjacency[v].indices.tolist()) <= members
 
 
 def test_planted_rotated_copy_pulls_back():
@@ -216,9 +224,11 @@ _VERTICES = ["v 0 0.1 0.2", "v 1 0.5 0.6", "v 2 1.0 1.1", "v 3 1.4 1.5",
     (_VERTICES + ["e 0 1", "e 1 0"], "listed twice"),
     (_VERTICES[:2] + ["v 2 nan 1.1"] + _VERTICES[3:], "vertex 2 has a non-finite"),
     (_VERTICES[:4] + ["v 4 1.8 -inf"], "vertex 4 has a non-finite"),
+    (_VERTICES[:1] + ["v 1 0.5"] + _VERTICES[2:], "line 3: expected `v id x y`"),
+    (_VERTICES + ["e 1"], "line 7: expected `e u v`"),
 ], ids=["negative_vertex", "vertex_id_p", "missing_vertex", "duplicate_vertex",
         "edge_out_of_range", "self_loop", "duplicate_edge", "nan_coordinate",
-        "infinite_coordinate"])
+        "infinite_coordinate", "short_vertex_line", "short_edge_line"])
 def test_read_graph_rejects_malformed(tmp_path, body, message):
     path = tmp_path / "graph.txt"
     # header: a valid family (p=5, eta=1, beta=1.05 < s/2, d=1, theta=0.1)

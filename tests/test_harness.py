@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -41,6 +42,40 @@ def test_parse_config_round_trip():
     assert cfg.plant_r == 20
     assert cfg.eps == 0.06
     assert cfg.out == "runs"
+
+
+def test_parse_config_reads_every_field():
+    """Every field of ExperimentConfig is a key, parsed to its own kind:
+    `[500] == [500.0]`, so the types are compared too."""
+    values = dict(
+        p=[500, 2000], n=[10, 20], theta=[0.11, 0.05], d=[2, 3], eta=[1.5],
+        beta=[2.5], seeds=[3, 4], r=20, eps=0.06, w=0.12, threshold=0.05,
+        min_zeta=2, k_cap=18, plant_r=20, plant_count=3, plant_frac=0.5,
+        plant_grid=7, plant_rotate=True, master_seed=9, out="sweep_out",
+    )
+    assert values.keys() == {f.name for f in dataclasses.fields(harness.ExperimentConfig)}
+    text = "\n".join(
+        f"{key} = {', '.join(map(str, val)) if isinstance(val, list) else val}"
+        for key, val in values.items())
+    cfg = harness.parse_config(text)
+    assert cfg == harness.ExperimentConfig(**values)
+    for key, val in values.items():
+        got = getattr(cfg, key)
+        assert type(got) is type(val), key
+        if isinstance(val, list):
+            assert [type(x) for x in got] == [type(x) for x in val], key
+
+
+@pytest.mark.parametrize("key", ["eta", "beta"])
+def test_config_refuses_a_family_sweep(key):
+    """Summary rows are keyed by (p, n, theta, d), so two families would
+    merge into one row carrying the first family's Fano bound."""
+    cfg = harness.parse_config(tuned_config())
+    value = getattr(cfg, key)[0]
+    text = tuned_config().replace(f"{key} = {value!r}", f"{key} = {value!r}, {1.3 * value!r}")
+    assert text != tuned_config()
+    with pytest.raises(ValueError, match=f"{key} takes one value"):
+        harness.parse_config(text)
 
 
 def test_parse_config_rejects_bad_input():

@@ -50,6 +50,17 @@ def test_selector_params_validation():
     assert zero.detect_threshold == 0.1
 
 
+@pytest.mark.parametrize("name", ["eps", "w", "theta", "detect_threshold"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_selector_params_refuse_non_finite(name, bad):
+    """theta = nan once gave a nan threshold that declared no edge, and
+    w = nan a report whose JSON held `NaN`."""
+    fields = dict(r=2, eps=0.1, w=0.2, theta=0.2, detect_threshold=0.1)
+    fields[name] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        sel.SelectorParams(**fields)
+
+
 class _Cloud:
     def __init__(self, pts, s):
         self.points = np.asarray(pts, float)
