@@ -10,7 +10,7 @@ experiments a controllable number of exact copies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -103,7 +103,9 @@ class GeoGraph:
 
     `plants`, when present, lists the vertex ids of each planted copy in
     template slot order (slot t of every copy is the image of template
-    point t).
+    point t).  The beta-close pairs are kept once found: `generate` hands
+    over the ones it wired from, and a graph built any other way, by
+    `dataclasses.replace` too, finds its own on first use.
     """
 
     params: FamilyParams
@@ -111,10 +113,19 @@ class GeoGraph:
     adjacency: csr_matrix
     torus: Torus
     plants: tuple[tuple[int, ...], ...] | None = None
+    _beta_pairs: np.ndarray | None = field(
+        default=None, init=False, compare=False, repr=False)
 
     @property
     def p(self) -> int:
         return len(self.points)
+
+    def beta_pairs(self) -> np.ndarray:
+        """`torus.close_pairs(points, beta)`: the (N, 2) index pairs i < j
+        within toroidal distance beta, in the kd-tree's order."""
+        if self._beta_pairs is None:
+            self._beta_pairs = self.torus.close_pairs(self.points, self.params.beta)
+        return self._beta_pairs
 
     def degrees(self) -> np.ndarray:
         return np.asarray(self.adjacency.sum(axis=1)).ravel().astype(int)
@@ -127,49 +138,65 @@ class GeoGraph:
         return self.adjacency.nnz // 2
 
 
-def _candidate_pairs(points: np.ndarray, beta: float, torus: Torus):
-    """All vertex pairs within toroidal distance beta, with their wrapped
-    displacements and distances."""
-    if beta >= 0.5 * torus.s:
-        raise ValueError("beta must be below half the torus side")
-    pairs = torus.close_pairs(points, beta)
-    delta = torus.delta(points[pairs[:, 0]], points[pairs[:, 1]])
-    return pairs, delta, np.hypot(delta[:, 0], delta[:, 1])
-
-
-def build_edges(points, d: int, beta: float, torus: Torus) -> csr_matrix:
+def build_edges(points, d: int, beta: float, torus: Torus,
+                pairs: np.ndarray | None = None) -> csr_matrix:
     """Deterministic bounded-degree wiring of a point set.
 
-    Candidate edges are all pairs within toroidal distance beta, sorted
-    globally by length; each is accepted greedily iff both endpoints still
-    have degree below d.  Lengths equal within 1e-9 of the torus side are
-    treated as tied and ordered by the pair's canonical displacement
-    vector, then by endpoint coordinates, so the rule is a function of
-    relative geometry only and exact translated copies of a pattern (with
-    matching surroundings) are wired identically.
+    Candidate edges are all pairs within toroidal distance beta (`pairs`,
+    the `torus.close_pairs(points, beta)` result, when the caller holds
+    it), sorted globally by length; each is accepted greedily iff both
+    endpoints still have degree below d.  Lengths equal within 1e-9 of the
+    torus side are treated as tied and ordered by the pair's canonical
+    displacement vector, then by endpoint coordinates, so the rule is a
+    function of relative geometry only and exact translated copies of a
+    pattern (with matching surroundings) are wired identically.
+
+    The greedy walk goes over chunks of the length order that start at n
+    pairs and double, each ending with a run of equal lengths.  Degrees
+    only grow, so a pair with an endpoint already at d when its chunk
+    starts is dropped unseen; only the others get tie-break keys and
+    enter the loop.  The length sort is stable and the tie-break sort
+    keeps the survivors' order, so fully tied pairs keep the order of
+    `pairs`.
     """
+    if beta >= 0.5 * torus.s:
+        raise ValueError("beta must be below half the torus side")
     P = np.asarray(points, dtype=float)
     n = len(P)
-    pairs, delta, dist = _candidate_pairs(P, beta, torus)
-    a, b = P[pairs[:, 0]], P[pairs[:, 1]]
-    swap = (a[:, 0] > b[:, 0]) | ((a[:, 0] == b[:, 0]) & (a[:, 1] > b[:, 1]))
-    lo = np.where(swap[:, None], b, a)
+    if pairs is None:
+        pairs = torus.close_pairs(P, beta)
+    (x, y), (i, j) = P.T, pairs.T
+    dx, dy = torus.delta(x[i], x[j]), torus.delta(y[i], y[j])
     tol = 1e-9 * torus.s
-    dist_key = np.round(dist / tol).astype(np.int64)
-    flip = (delta[:, 0] < 0) | ((delta[:, 0] == 0) & (delta[:, 1] < 0))
-    delta[flip] *= -1.0
-    dx_key = np.round(delta[:, 0] / tol).astype(np.int64)
-    dy_key = np.round(delta[:, 1] / tol).astype(np.int64)
-    order = np.lexsort((lo[:, 1], lo[:, 0], dy_key, dx_key, dist_key))
+    dist_key = np.round(np.hypot(dx, dy) / tol).astype(np.int64)
+    # a sort of the distinct keys (length, index) is a stable length sort
+    N = len(pairs)
+    dist_key, by_length = np.divmod(np.sort(dist_key * N + np.arange(N)), N)
+    us, vs = i[by_length], j[by_length]
     deg = [0] * n
     kept = []
-    for k, (u, v) in enumerate(zip(pairs[order, 0].tolist(),
-                                   pairs[order, 1].tolist())):
-        if deg[u] < d and deg[v] < d:
-            deg[u] += 1
-            deg[v] += 1
-            kept.append(k)
-    uv = pairs[order[kept]]
+    start, size = 0, n
+    while start < N:
+        stop = np.searchsorted(dist_key, dist_key[min(start + size, N) - 1],
+                               side="right")
+        full = np.array(deg) >= d
+        live = start + np.flatnonzero(~(full[us[start:stop]] | full[vs[start:stop]]))
+        a, b = P[us[live]], P[vs[live]]
+        swap = (a[:, 0] > b[:, 0]) | ((a[:, 0] == b[:, 0]) & (a[:, 1] > b[:, 1]))
+        lo = np.where(swap[:, None], b, a)
+        ddx, ddy = dx[by_length[live]], dy[by_length[live]]
+        sign = np.where((ddx < 0) | ((ddx == 0) & (ddy < 0)), -1.0, 1.0)
+        dx_key = np.round(sign * ddx / tol).astype(np.int64)
+        dy_key = np.round(sign * ddy / tol).astype(np.int64)
+        live = live[np.lexsort((lo[:, 1], lo[:, 0], dy_key, dx_key,
+                                dist_key[live]))]
+        for k, u, v in zip(live.tolist(), us[live].tolist(), vs[live].tolist()):
+            if deg[u] < d and deg[v] < d:
+                deg[u] += 1
+                deg[v] += 1
+                kept.append(k)
+        start, size = stop, 2 * size
+    uv = pairs[by_length[kept]]
     # each edge enters as (u, v) then (v, u), in acceptance order
     adj = csr_matrix(
         (np.ones(2 * len(uv), dtype=np.int8), (uv.ravel(), uv[:, ::-1].ravel())),
@@ -295,14 +322,16 @@ def generate(params: FamilyParams, plant: PlantSpec | None = None) -> GeoGraph:
             tuple(range(i * plant.size, (i + 1) * plant.size))
             for i in range(plant.count)
         )
-    adjacency = build_edges(points, params.d, params.beta, torus)
-    return GeoGraph(
+    pairs = torus.close_pairs(points, params.beta)
+    graph = GeoGraph(
         params=params,
         points=points,
-        adjacency=adjacency,
+        adjacency=build_edges(points, params.d, params.beta, torus, pairs),
         torus=torus,
         plants=plants,
     )
+    graph._beta_pairs = pairs
+    return graph
 
 
 def write_graph(g: GeoGraph, path) -> None:

@@ -52,8 +52,9 @@ class ExperimentConfig:
     out: str = "runs"
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ValueError("need at least one seed")
+        for f in fields(self):
+            if getattr(self, f.name) == []:
+                raise ValueError(f"{f.name} needs at least one value")
         # summary rows are keyed by (p, n, theta, d): one family per sweep
         for name, values in (("eta", self.eta), ("beta", self.beta)):
             if len(values) > 1:

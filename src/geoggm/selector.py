@@ -385,13 +385,11 @@ def _quantize_with_backoff(graph, eps: float):
     raise last
 
 
-def _close_pairs(torus: Torus, points: np.ndarray, beta: float):
-    """Every vertex's beta-ball from one kd-tree pair query: the sorted
-    codes u * p + v (u < v) of the pairs within toroidal distance beta,
-    closed by the sentinel p * p so that every lookup lands in range, and
-    the ball sizes, each ball holding its own vertex."""
-    p = len(points)
-    pairs = torus.close_pairs(points, beta)
+def _close_pairs(pairs: np.ndarray, p: int):
+    """Every vertex's beta-ball from the (N, 2) beta-close pairs i < j of
+    p vertices: the sorted codes u * p + v (u < v), closed by the sentinel
+    p * p so that every lookup lands in range, and the ball sizes, each
+    ball holding its own vertex."""
     codes = np.append(np.sort(pairs[:, 0] * p + pairs[:, 1]), p * p)
     return codes, np.bincount(pairs.ravel(), minlength=p) + 1
 
@@ -410,16 +408,22 @@ def _balls_inside(pair_codes, ball_sizes, images) -> np.ndarray:
 def _resolve_pairs(codes, margins, declared):
     """Resolve the decision rows of a run, one row per (copy, slot pair)
     in the order they were made.  Each pair code keeps the row of largest
-    margin, the earliest on equal margins, since `np.lexsort` is stable.
-    Returns the sorted codes kept as declared edges and the number of
-    codes whose rows disagree."""
-    order = np.lexsort((-margins, codes))
+    margin, the earliest on equal margins: a stable sort groups each
+    code's rows in the order they were made, and the first row of a run
+    at the run's top margin wins.  Returns the sorted codes kept as
+    declared edges and the number of codes whose rows disagree."""
+    order = np.argsort(codes, kind="stable")
     codes, declared = codes[order], declared[order]
     first = np.flatnonzero(np.diff(codes, prepend=-1))
+    if len(first) == len(codes):  # one row per code
+        return codes[declared], 0
+    margins = margins[order]
+    top = np.maximum.reduceat(margins, first)
+    at_top = np.flatnonzero(margins == np.repeat(top, np.diff(first, append=len(codes))))
+    won = at_top[np.searchsorted(at_top, first)]
     agree = (np.logical_and.reduceat(declared, first)
              == np.logical_or.reduceat(declared, first))
-    kept = first[declared[first]]
-    return codes[kept], int((~agree).sum())
+    return codes[won[declared[won]]], int((~agree).sum())
 
 
 def run_selection(
@@ -459,12 +463,11 @@ def run_selection(
         raise ValueError("need samples unless exact_cov is set")
     elif samples.p != p:
         raise ValueError("sample dimension disagrees with the graph")
-    # a decided vertex has every edge inside its beta-ball; both code
-    # arrays hold distinct codes, which spares setdiff1d a hashed dedupe
-    pair_codes, ball_sizes = _close_pairs(graph.torus, graph.points, beta)
+    # a decided vertex has every edge inside its beta-ball
+    pair_codes, ball_sizes = _close_pairs(graph.beta_pairs(), p)
     edges = sp.triu(graph.adjacency, k=1)
-    far = np.setdiff1d(edges.row.astype(np.int64) * p + edges.col, pair_codes,
-                       assume_unique=True)
+    true_codes = edges.row.astype(np.int64) * p + edges.col
+    far = true_codes[pair_codes[np.searchsorted(pair_codes, true_codes)] != true_codes]
     if len(far):
         u, v = divmod(int(far[0]), p)
         raise ValueError(f"edge ({u}, {v}) is longer than beta = {beta}")

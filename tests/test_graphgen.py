@@ -274,13 +274,23 @@ def _csr_state(adj):
 @st.composite
 def edge_inputs(draw):
     """Points on a torus of side s, a degree cap d in 1..4 and beta below
-    s/2: uniform points, or translated copies of one small pattern, whose
-    equal lengths leave the greedy order to the tie-breaks."""
+    s/2: uniform points, translated copies of one small pattern, whose
+    equal lengths leave the greedy order to the tie-breaks, or lattice
+    points with holes on a torus of whole cells, whose pairs tie on every
+    key across the seam and whose runs of equal length are long."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    s = draw(st.floats(4.0, 16.0))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["uniform", "copies", "lattice"]))
+    if kind == "lattice":
+        pitch = draw(st.floats(0.5, 1.0))
+        m = draw(st.integers(4, 12))
+        s = m * pitch
+        cells = np.argwhere(rng.random((m, m)) < draw(st.floats(0.3, 1.0)))
+        pts = cells * pitch
+    elif kind == "uniform":
+        s = draw(st.floats(4.0, 16.0))
         pts = rng.uniform(0.0, s, (draw(st.integers(0, 80)), 2))
     else:
+        s = draw(st.floats(4.0, 16.0))
         pattern = rng.uniform(0.0, 1.5, (draw(st.integers(1, 6)), 2))
         shifts = rng.uniform(0.0, s, (draw(st.integers(1, 12)), 2))
         pts = np.mod(shifts[:, None] + pattern, s).reshape(-1, 2)

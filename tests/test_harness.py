@@ -87,6 +87,17 @@ def test_parse_config_rejects_bad_input():
         harness.parse_config(tuned_config() + "\ntheta = 0.3\nd = 2")
 
 
+@pytest.mark.parametrize("key", ["eta", "seeds", "p"])
+def test_parse_config_rejects_a_list_key_with_no_value(key):
+    """`eta =` would be an empty sweep, reported only as no runs."""
+    lines = [f"{key} =" if line.split("=")[0].strip() == key else line
+             for line in tuned_config().splitlines()]
+    text = "\n".join(lines)
+    assert text != tuned_config()
+    with pytest.raises(ValueError, match=f"{key} needs at least one value"):
+        harness.parse_config(text)
+
+
 def test_config_rejects_coupling_violation():
     text = tuned_config().replace("theta = 0.2", "theta = 0.25, 0.3")
     with pytest.raises(ValueError):

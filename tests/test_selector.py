@@ -352,7 +352,7 @@ def test_close_pairs_match_ball_queries(inputs):
     closed by the sentinel p * p."""
     pts, s, beta = inputs
     p = len(pts)
-    codes, sizes = sel._close_pairs(Torus(s), pts, beta)
+    codes, sizes = sel._close_pairs(Torus(s).close_pairs(pts, beta), p)
     balls = cKDTree(pts, boxsize=s).query_ball_point(pts, beta)
     assert sizes.tolist() == [len(b) for b in balls]
     assert codes.tolist() == sorted(
@@ -377,6 +377,53 @@ def test_selection_rejects_an_edge_longer_than_beta():
     graph = dataclasses.replace(graph, adjacency=A)
     with pytest.raises(ValueError, match=rf"edge \(0, {far}\) is longer than beta"):
         sel.run_selection(graph, params, exact_cov=True)
+
+
+def _spy_close_pairs(monkeypatch):
+    """Record the radius of every `Torus.close_pairs` call."""
+    radii = []
+    close_pairs = Torus.close_pairs
+
+    def spy(self, points, radius):
+        radii.append(radius)
+        return close_pairs(self, points, radius)
+
+    monkeypatch.setattr(Torus, "close_pairs", spy)
+    return radii
+
+
+def test_generated_graph_carries_its_beta_pairs(monkeypatch):
+    """`generate` queries the beta-close pairs once, wires from them and
+    hands them to the graph, so selection makes no query of its own."""
+    radii = _spy_close_pairs(monkeypatch)
+    graph, eps, _ = plantcfg.grid_plant_graph(p=100, theta=0.11, seed=2)
+    beta = graph.params.beta
+    assert radii.count(beta) == 1
+    radii.clear()
+    sel.run_selection(graph, plantcfg.grid_plant_selector_params(0.11, eps),
+                      exact_cov=True)
+    assert beta not in radii
+
+
+def test_graph_without_carried_pairs_selects_the_same(tmp_path, monkeypatch):
+    """A graph read from a file finds its beta-close pairs on first use and
+    selects as the generated graph does; a graph made by
+    `dataclasses.replace` with new points finds fresh pairs."""
+    graph, eps, _ = plantcfg.grid_plant_graph(p=100, theta=0.11, seed=2)
+    params = plantcfg.grid_plant_selector_params(0.11, eps)
+    path = tmp_path / "graph.txt"
+    gg.write_graph(graph, path)
+    read = gg.read_graph(path)
+    radii = _spy_close_pairs(monkeypatch)
+    _assert_same_reports(sel.run_selection(read, params, exact_cov=True),
+                         sel.run_selection(graph, params, exact_cov=True))
+    assert radii.count(graph.params.beta) == 1
+    assert np.array_equal(read.beta_pairs(), graph.beta_pairs())
+
+    moved = dataclasses.replace(graph, points=graph.points[::-1].copy())
+    want = graph.torus.close_pairs(moved.points, graph.params.beta)
+    assert np.array_equal(moved.beta_pairs(), want)
+    assert not np.array_equal(moved.beta_pairs(), graph.beta_pairs())
 
 
 def test_selection_takes_a_coordinate_just_below_zero(tmp_path):
@@ -1106,7 +1153,12 @@ def test_run_selection_stops_when_only_hopeless_vertices_remain(
 @st.composite
 def pair_rows(draw):
     """Decision rows with repeated pair codes, exactly tied margins and
-    disagreeing flags."""
+    disagreeing flags, or up to a few hundred rows of distinct codes."""
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        n = draw(st.integers(0, 300))
+        return (rng.choice(4 * n + 1, n, replace=False).astype(np.int64),
+                rng.choice([0.0, 0.125, 0.5, 2.0], n), rng.random(n) < 0.5)
     n = draw(st.integers(0, 60))
     row = st.tuples(
         st.integers(0, draw(st.integers(0, 15))),
