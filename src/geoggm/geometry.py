@@ -48,8 +48,8 @@ class Torus:
     def wrap(self, xy):
         """Map coordinates into the fundamental domain [0, s)^2."""
         w = np.mod(np.asarray(xy, dtype=float), self.s)
-        # np.mod rounds a tiny negative coordinate up to s itself
-        return np.where(w < self.s, w, 0.0)
+        # np.mod rounds a tiny negative up to s itself; non-finite gives NaN
+        return np.where(w == self.s, 0.0, w)
 
     def delta(self, a, b):
         """Signed displacement b - a, each component wrapped to [-s/2, s/2)."""

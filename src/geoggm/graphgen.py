@@ -75,10 +75,18 @@ class PlantSpec:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be positive")
-        if self.min_separation <= 0 or self.clearance < 0:
-            raise ValueError("separations must be positive")
         if not self.template:
             raise ValueError("template must be nonempty")
+        if not np.isfinite(self.points).all():
+            raise ValueError("template must have finite coordinates")
+        for name in ("min_separation", "clearance", "snap"):
+            val = getattr(self, name)
+            if val is not None and not math.isfinite(val):
+                raise ValueError(f"{name} must be finite, got {val}")
+        if self.min_separation <= 0 or self.clearance < 0:
+            raise ValueError("separations must be positive")
+        if self.snap is not None and self.snap <= 0:
+            raise ValueError(f"snap must be positive, got {self.snap}")
 
     @classmethod
     def from_array(cls, template, count, min_separation, clearance,
@@ -132,7 +140,9 @@ class GeoGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         coo = self.adjacency.tocoo()
-        return sorted((int(u), int(v)) for u, v in zip(coo.row, coo.col) if u < v)
+        uv = np.column_stack([coo.row, coo.col])[coo.row < coo.col]
+        uv = uv[np.lexsort(uv.T[::-1])]
+        return list(map(tuple, uv.tolist()))
 
     def edge_count(self) -> int:
         return self.adjacency.nnz // 2
@@ -230,11 +240,10 @@ def validate_family(g: GeoGraph) -> ValidationReport:
     prm = g.params
     deg = g.degrees()
     degree_violations = [(int(v), int(deg[v])) for v in np.nonzero(deg > prm.d)[0]]
-    length_violations = []
-    for u, v in g.edges():
-        duv = g.torus.distance(g.points[u], g.points[v])
-        if duv > prm.beta * (1 + 1e-12):
-            length_violations.append((u, v, float(duv)))
+    uv = np.array(g.edges(), dtype=int).reshape(-1, 2)
+    duv = g.torus.distance(g.points[uv[:, 0]], g.points[uv[:, 1]])
+    long = duv > prm.beta * (1 + 1e-12)
+    length_violations = list(zip(*uv[long].T.tolist(), duv[long].tolist()))
     coupling = prm.d * prm.theta
     return ValidationReport(
         degree_violations=degree_violations,
@@ -245,37 +254,51 @@ def validate_family(g: GeoGraph) -> ValidationReport:
     )
 
 
-def _place_anchors(rng, spec: PlantSpec, s: float) -> np.ndarray:
-    """Draw anchors one at a time and keep each that lies at least
-    `min_separation` from every anchor kept before it.
+def _draw_kept(rng, count: int, s: float, keep, failure: str) -> np.ndarray:
+    """The first `count` uniform draws on [0, s)^2 that `keep` accepts.
 
-    The draws come in batches of `count + 64`, each separated in order
-    after the anchors kept so far, which stay kept.  The generator is then
-    rewound to just after the last draw used, where one draw at a time
-    leaves it.
+    `keep(points, start)` gets the points kept so far, then a batch of up
+    to `count + 64` draws from row `start` on; it may move the batch rows in
+    place and returns the ascending indices of those to keep.  The
+    generator is rewound to just after the last draw used.  Raises
+    RuntimeError(failure) unless the first 2000 * count draws hold `count`.
     """
-    torus = Torus(s)
-    anchors = np.empty((0, 2))
-    drawn = 0
-    while len(anchors) < spec.count:
+    kept = np.empty((0, 2))
+    cap, drawn = 2000 * count, 0
+    while len(kept) < count:
+        if drawn == cap:
+            raise RuntimeError(failure)
+        n = len(kept)
         state = rng.bit_generator.state
-        batch = rng.uniform(0.0, s, size=(spec.count + 64, 2))
-        if spec.snap is not None:
-            batch = np.round(batch / spec.snap) * spec.snap % s
-        X = np.vstack([anchors, batch])
-        kept = torus.separated(X, spec.min_separation)[:spec.count]
-        used = (kept[-1] + 1 - len(anchors) if len(kept) == spec.count
-                else len(batch))
+        batch = rng.uniform(0.0, s, size=(min(count + 64, cap - drawn), 2))
+        points = np.vstack([kept, batch])
+        rows = keep(points, n)[:count - n]
+        used = rows[-1] + 1 - n if n + len(rows) == count else len(batch)
         drawn += used
-        if drawn > 2000 * spec.count:
-            raise RuntimeError(
-                f"could not place {spec.count} copies with separation "
-                f"{spec.min_separation} on a torus of side {s}"
-            )
         rng.bit_generator.state = state
         rng.uniform(0.0, s, size=(used, 2))
-        anchors = X[kept]
-    return anchors
+        kept = np.vstack([kept, points[rows]])
+    return kept
+
+
+def _every_row(points, start):
+    return np.arange(start, len(points))
+
+
+def _place_anchors(rng, spec: PlantSpec, s: float) -> np.ndarray:
+    """Draw anchors (snapped when `snap` is set) and keep each that lies
+    at least `min_separation` from every anchor kept before it."""
+    torus = Torus(s)
+
+    def separated(points, start):
+        if spec.snap is not None:
+            points[start:] = np.round(points[start:] / spec.snap) * spec.snap % s
+        # the kept anchors are separated already, so all of them stay
+        return torus.separated(points, spec.min_separation)[start:]
+
+    return _draw_kept(rng, spec.count, s, separated,
+                      f"could not place {spec.count} copies with separation "
+                      f"{spec.min_separation} on a torus of side {s}")
 
 
 def generate(params: FamilyParams, plant: PlantSpec | None = None) -> GeoGraph:
@@ -287,41 +310,26 @@ def generate(params: FamilyParams, plant: PlantSpec | None = None) -> GeoGraph:
     """
     torus = Torus(params.s)
     rng = np.random.default_rng(params.seed)
-    if plant is None:
-        points = rng.uniform(0.0, params.s, size=(params.p, 2))
-        plants = None
-    else:
-        n_planted = plant.count * plant.size
-        if n_planted > params.p:
+    planted, plants, keep = np.empty((0, 2)), None, _every_row
+    if plant is not None:
+        if plant.count * plant.size > params.p:
             raise ValueError("planted vertices exceed p")
-        anchors = _place_anchors(rng, spec=plant, s=params.s)
-        blocks = []
-        for c in anchors:
-            q = int(rng.integers(4)) if plant.rotate else 0
-            blocks.append(torus.wrap(c + grid_rotate(plant.points, q)))
-        planted_pts = np.vstack(blocks)
-        n_bg = params.p - n_planted
-        bg = np.empty((0, 2))
-        if n_bg:
-            # nothing draws after this loop, so it may draw past the last
-            # vertex it keeps, but never past the attempt cap
-            tree = cKDTree(planted_pts, boxsize=params.s)
-            cap = 2000 * n_bg
-            drawn = 0
-            while len(bg) < n_bg:
-                if drawn == cap:
-                    raise RuntimeError("could not place background vertices")
-                batch = rng.uniform(0.0, params.s,
-                                    size=(min(2 * n_bg, cap - drawn), 2))
-                drawn += len(batch)
-                near = tree.query_ball_point(batch, plant.clearance,
+        anchors = _place_anchors(rng, plant, params.s)
+        turns = rng.integers(4, size=plant.count) if plant.rotate else 0
+        shapes = np.stack([grid_rotate(plant.points, q) for q in range(4)])
+        planted = torus.wrap(anchors[:, None] + shapes[turns]).reshape(-1, 2)
+        plants = tuple(map(tuple, np.arange(len(planted)).reshape(
+            plant.count, plant.size).tolist()))
+        if len(planted) < params.p:
+            tree = cKDTree(planted, boxsize=params.s)
+
+            def keep(points, start):
+                near = tree.query_ball_point(points[start:], plant.clearance,
                                              return_length=True)
-                bg = np.vstack([bg, batch[near == 0]])
-        points = np.vstack([planted_pts, bg[:n_bg]])
-        plants = tuple(
-            tuple(range(i * plant.size, (i + 1) * plant.size))
-            for i in range(plant.count)
-        )
+                return start + np.flatnonzero(near == 0)
+    background = _draw_kept(rng, params.p - len(planted), params.s, keep,
+                            "could not place background vertices")
+    points = np.vstack([planted, background])
     pairs = torus.close_pairs(points, params.beta)
     graph = GeoGraph(
         params=params,

@@ -22,6 +22,15 @@ def test_torus_distance_wraparound():
     assert t.distance((1, 1), (9, 9)) == pytest.approx(2 * math.sqrt(2))
 
 
+def test_torus_wrap_seam_and_non_finite():
+    """The seam fix maps only s itself to 0: NaN and infinities stay NaN
+    instead of becoming a vertex at the origin."""
+    t = geo.Torus(10.0)
+    assert t.wrap([-1e-20, 10.0, 3.5, -2.5]).tolist() == [0.0, 0.0, 3.5, 7.5]
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(t.wrap([math.nan, math.inf, -math.inf])).all()
+
+
 def test_torus_distance_identity():
     t = geo.Torus(10.0)
     assert t.distance((3.2, 7.7), (3.2, 7.7)) == 0.0

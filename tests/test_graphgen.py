@@ -136,13 +136,36 @@ def test_validate_family_flags_long_edge():
     pts[0] = (0.0, 0.0)
     pts[1] = (0.0, 4.4)  # 2 * beta, no wraparound shortcut at s = 10
     pts[2:] = np.random.default_rng(0).uniform(5, 9, (98, 2))
-    rows, cols = [0, 1], [1, 0]
-    adj = csr_matrix((np.ones(2, dtype=np.int8), (rows, cols)), shape=(100, 100))
+    pts[2] = (0.5, 9.0)
+    pts[3] = (0.5, 2.5)  # 6.5 apart in the chart, 3.5 across the seam
+    # the seam edge is listed first: the report sorts by endpoints
+    rows, cols = [3, 2, 0, 1], [2, 3, 1, 0]
+    adj = csr_matrix((np.ones(4, dtype=np.int8), (rows, cols)), shape=(100, 100))
     g = gg.GeoGraph(params=prm, points=pts, adjacency=adj, torus=Torus(prm.s))
     rep = gg.validate_family(g)
-    assert len(rep.length_violations) == 1
-    assert rep.length_violations[0][:2] == (0, 1)
+    assert rep.length_violations == [
+        (u, v, g.torus.distance(pts[u], pts[v])) for u, v in ((0, 1), (2, 3))]
+    assert rep.length_violations[1][2] == 3.5
     assert not rep.degree_violations
+
+
+def test_edges_sorted_upper_triangle():
+    """`edges()` lists each i < j entry once, sorted, as Python ints, also
+    from a CSR whose rows hold their columns out of order."""
+    from scipy.sparse import csr_matrix
+
+    indptr = np.r_[0, 2, 4, np.full(98, 6)]
+    adj = csr_matrix((np.ones(6, dtype=np.int8), np.array([2, 1, 2, 0, 1, 0]),
+                      indptr), shape=(100, 100))
+    assert not adj.has_sorted_indices
+    g = gg.GeoGraph(params=small_params(), points=np.zeros((100, 2)),
+                    adjacency=adj, torus=Torus(10.0))
+    assert g.edges() == [(0, 1), (0, 2), (1, 2)]
+    assert all(type(x) is int for e in g.edges() for x in e)
+    g = gg.generate(small_params(seed=4))
+    coo = g.adjacency.tocoo()
+    assert g.edges() == sorted(
+        (int(u), int(v)) for u, v in zip(coo.row, coo.col) if u < v)
 
 
 def test_validate_family_flags_boundary_coupling():
@@ -335,6 +358,32 @@ def test_place_anchors_matches_loop(inputs):
     assert rng.uniform() == ref.uniform()
 
 
+_POINT = ((0.0, 0.0),)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(template=((0.0, math.nan),)), "template must have finite"),
+    (dict(template=((math.inf, 0.0), (1.0, 1.0))), "template must have finite"),
+    (dict(min_separation=math.nan), "min_separation must be finite"),
+    (dict(min_separation=math.inf), "min_separation must be finite"),
+    (dict(clearance=math.nan), "clearance must be finite"),
+    (dict(clearance=math.inf), "clearance must be finite"),
+    (dict(snap=math.nan), "snap must be finite"),
+    (dict(snap=math.inf), "snap must be finite"),
+    (dict(snap=0.0), "snap must be positive"),
+    (dict(snap=-0.5), "snap must be positive"),
+], ids=["nan_template", "inf_template", "nan_separation", "inf_separation",
+        "nan_clearance", "inf_clearance", "nan_snap", "inf_snap", "zero_snap",
+        "negative_snap"])
+def test_plant_spec_refuses_bad_fields(fields, message):
+    """Each of these was once accepted: a zero snap stamped every copy at
+    the origin, a NaN coordinate became 0, a NaN separation kept anchors
+    closer than asked and an infinite one spent the whole attempt cap."""
+    spec = dict(template=_POINT, count=4, min_separation=4.0, clearance=1.0)
+    with pytest.raises(ValueError, match=message):
+        gg.PlantSpec(**dict(spec, **fields))
+
+
 def test_place_anchors_cap_on_infeasible_spec():
     # two anchors 8 apart cannot fit: no two points of a torus of side 10
     # are more than 5 * sqrt(2) apart
@@ -344,6 +393,19 @@ def test_place_anchors_cap_on_infeasible_spec():
     for place in (gg._place_anchors, oracles.loop_place_anchors):
         with pytest.raises(RuntimeError, match=message):
             place(np.random.default_rng(0), spec, 10.0)
+
+
+def test_place_anchors_cap_stops_at_the_last_allowed_draw():
+    """On an infeasible spec the batches stop at 2000 * count draws, so the
+    generator is left where one draw at a time leaves it."""
+    spec = gg.PlantSpec(template=_POINT, count=2, min_separation=8.0,
+                        clearance=0.0)
+    rng, ref = np.random.default_rng(0), np.random.default_rng(0)
+    for place, gen in ((gg._place_anchors, rng),
+                       (oracles.loop_place_anchors, ref)):
+        with pytest.raises(RuntimeError, match="could not place 2 copies"):
+            place(gen, spec, 10.0)
+    assert rng.uniform() == ref.uniform()
 
 
 class _Drawn(RuntimeError):
@@ -386,12 +448,17 @@ def _plantcfg_graphs(build):
 
 
 @pytest.mark.parametrize("family", [
-    "criterion4", "criterion5", "bench_trend", "background"])
+    "criterion4", "criterion5", "bench_trend", "background", "unplanted"])
 def test_generate_matches_loop(family):
     """Identical points and adjacency to the earlier generate on the
-    criterion-4 and -5 graph seeds, the benchmark's trend graphs and a
-    plant with uniform background around it."""
-    if family == "criterion4":
+    criterion-4 and -5 graph seeds, the benchmark's trend graphs, a plant
+    with uniform background around it and unplanted graphs of the README
+    regime."""
+    if family == "unplanted":
+        drawn = [(params, None, gg.generate(params)) for params in (
+            gg.FamilyParams(p=p, eta=1.0, d=3, beta=2.2, theta=0.1, seed=seed)
+            for p in (300, 2000) for seed in range(10))]
+    elif family == "criterion4":
         drawn = _plantcfg_graphs(lambda: [
             plantcfg.generic_plant_graph(p=500, theta=0.1, seed=seed)
             for seed in range(20)])
@@ -411,3 +478,16 @@ def test_generate_matches_loop(family):
         points, adjacency = oracles.loop_generate(params, plant)
         assert np.array_equal(g.points, points)
         assert _csr_state(g.adjacency) == _csr_state(adjacency)
+
+
+def test_background_cap_on_a_covered_torus():
+    """One plant whose clearance covers the whole torus leaves the
+    background no room: both placements stop at the 2000-draws-per-vertex
+    cap with the same message."""
+    params = gg.FamilyParams(p=9, eta=4.0, d=1, beta=0.6, theta=0.1, seed=1)
+    spec = gg.PlantSpec(template=_POINT, count=1, min_separation=1.0,
+                        clearance=1.1)  # s = 1.5: no point is 1.07 away
+    for build in (gg.generate, oracles.loop_generate):
+        with pytest.raises(RuntimeError,
+                           match="could not place background vertices"):
+            build(params, spec)
