@@ -12,7 +12,6 @@ from .geometry import (
     PatternTemplate,
     Torus,
     convex_hull,
-    is_contiguous,
     matching_distance,
     quantize,
     similarity,
@@ -61,7 +60,7 @@ from . import bounds
 
 __all__ = [
     "CollisionError", "Lattice", "PatternTemplate", "Torus", "convex_hull",
-    "is_contiguous", "matching_distance", "quantize", "similarity",
+    "matching_distance", "quantize", "similarity",
     "FamilyParams", "GeoGraph", "PlantSpec", "build_edges", "generate",
     "read_graph", "validate_family", "write_graph",
     "BlockIndex", "CouplingTooLarge", "NotPositiveDefinite", "PrecisionModel",

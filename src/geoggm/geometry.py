@@ -2,8 +2,8 @@
 
 Distances, close pairs and in-order separation on the flat torus, exact
 bottleneck matching between equal-size point sets, a grid-over-angles
-upper bound on rigid-motion similarity, convex hulls, contiguity tests,
-and snapping of vertex sets onto a regular lattice.
+upper bound on rigid-motion similarity, convex hulls, and snapping of
+vertex sets onto a regular lattice.
 """
 from __future__ import annotations
 
@@ -14,9 +14,6 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 from scipy.spatial import cKDTree
-
-# Absolute tolerance for hull membership is HULL_TOL_FACTOR * (domain scale).
-HULL_TOL_FACTOR = 1e-9
 
 
 class CollisionError(ValueError):
@@ -233,32 +230,6 @@ def point_in_hull(points, hull: np.ndarray, tol: float) -> np.ndarray:
     return inside
 
 
-def is_contiguous(subset_ids, graph, tol: float | None = None) -> bool:
-    """Whether a vertex subset equals the graph's vertices inside its own hull.
-
-    True iff no vertex outside the subset lies in (or on the boundary of)
-    the convex hull of the subset.  The hull is computed in the local
-    unwrapped chart at the subset's first point; subsets spanning more than
-    half the torus in either axis are rejected as non-local.
-
-    `graph` must expose `points` (p x 2 array) and `torus`.
-    """
-    ids = sorted(set(int(v) for v in np.atleast_1d(np.asarray(subset_ids)).ravel()))
-    if not ids:
-        raise ValueError("subset must be nonempty")
-    pts = graph.points
-    torus = graph.torus
-    if tol is None:
-        tol = HULL_TOL_FACTOR * torus.s
-    rel = torus.delta(pts[ids[0]], pts)
-    sub = rel[ids]
-    span = sub.max(axis=0) - sub.min(axis=0)
-    if (span > 0.5 * torus.s).any():
-        raise ValueError("subset spans more than half the torus; not local")
-    others = np.delete(rel, ids, axis=0)
-    return not point_in_hull(others, convex_hull(sub), tol).any()
-
-
 @dataclass(frozen=True)
 class PatternTemplate:
     """Occupied-node pattern inside a k x k bounding square of lattice cells.
@@ -295,11 +266,6 @@ class PatternTemplate:
     @property
     def size(self) -> int:
         return len(self.offsets)
-
-    def rotated(self, quarter_turns: int) -> "PatternTemplate":
-        """Pattern rotated by quarter turns, renormalized, slot order kept."""
-        return PatternTemplate.from_offsets(
-            grid_rotate(self.offsets, quarter_turns))
 
     def interior_cells(self) -> tuple[tuple[int, int], ...]:
         """Non-occupied cells of the bounding square inside the pattern's hull.

@@ -79,7 +79,10 @@ def parse_config(text: str) -> ExperimentConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in kinds:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        raw[key] = _parse_value(kinds[key], value)
+        try:
+            raw[key] = _parse_value(kinds[key], value)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {key} = {value!r}: {exc}") from None
     missing = [f.name for f in fields(ExperimentConfig)
                if f.default is MISSING and f.name not in raw]
     if missing:
@@ -93,6 +96,8 @@ def _parse_value(kind, value: str):
     if typing.get_origin(kind) is list:
         return [conv(tok.strip()) for tok in value.split(",") if tok.strip()]
     if conv is bool:
+        if value.lower() not in ("1", "true", "yes", "0", "false", "no"):
+            raise ValueError("a flag is one of 1/true/yes or 0/false/no")
         return value.lower() in ("1", "true", "yes")
     return conv(value)
 

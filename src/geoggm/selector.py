@@ -86,13 +86,14 @@ class SelectorParams:
 def default_params(p: int, theta: float, **overrides) -> SelectorParams:
     """Asymptotic defaults: r = max(2, ceil(lnln p)), eps = 1/ln p,
     w = eps * ln^2 p, threshold theta/2.  Keyword `overrides` replace
-    any of them (or set `min_zeta`, `k_cap`) before validation."""
+    any of them (or set `min_zeta`, `k_cap`) before validation; w follows
+    the eps in use, overridden or not, unless w itself is overridden."""
     if p < 16:
         raise ValueError("defaults need p >= 16")
     lp = math.log(p)
-    eps = 1.0 / lp
-    fields = dict(r=max(2, math.ceil(math.log(lp))), eps=eps, w=eps * lp * lp)
+    fields = dict(r=max(2, math.ceil(math.log(lp))), eps=1.0 / lp)
     fields.update(overrides)
+    fields.setdefault("w", fields["eps"] * lp * lp)
     return SelectorParams(theta=theta, **fields)
 
 
@@ -113,8 +114,8 @@ class CopySet:
 
 def _rotated_cells(template: PatternTemplate) -> list[np.ndarray]:
     """The pattern offsets, in slot order, then the hull-interior cells,
-    under each quarter turn q = 0..3 and shifted as `template.rotated(q)`
-    normalizes them: one hull for all four rotations."""
+    under each quarter turn q = 0..3 and shifted so the rotated offsets
+    touch (0, 0): one hull for all four rotations."""
     cells = np.array(template.offsets + template.interior_cells())
     rotations = [grid_rotate(cells, q).astype(int) for q in range(4)]
     return [rot - rot[:template.size].min(axis=0) for rot in rotations]
@@ -336,24 +337,11 @@ class SelectionReport:
         return (self.missed_edges + self.false_edges) / max(1, self.true_edge_count)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "p": self.p,
-                "n": self.n,
-                "r": self.r,
-                "eps": self.eps,
-                "w": self.w,
-                "theta": self.theta,
-                "copies_found": self.copies_found,
-                "copies_used": self.copies_used,
-                "zero_one_loss": self.zero_one_loss,
-                "missed_edges": self.missed_edges,
-                "false_edges": self.false_edges,
-                "undecided_vertices": list(self.undecided_vertices),
-                "runtime_ms": self.runtime_ms,
-                "edges": [[int(u), int(v)] for u, v in self.edges],
-            }
-        )
+        """Every field, in declaration order, as strict JSON; a closed
+        window's zeta, math.inf, is written as null."""
+        zetas = [None if math.isinf(z) else z for z in self.achieved_zetas]
+        return json.dumps(dict(vars(self), achieved_zetas=zetas),
+                          allow_nan=False)
 
 
 def zero_one_loss(e_hat, e_true):

@@ -44,7 +44,7 @@ from scipy.sparse.csgraph import shortest_path
 from scipy.spatial import cKDTree
 
 from geoggm import selector as sel
-from geoggm.geometry import Torus, grid_rotate
+from geoggm.geometry import PatternTemplate, Torus, grid_rotate
 from geoggm.gmrf import assemble_precision, graph_distance
 
 
@@ -140,24 +140,6 @@ def point_in_polygon(q, hull, tol):
         edge = math.dist(a, b)
         cr = (b[0] - a[0]) * (q[1] - a[1]) - (b[1] - a[1]) * (q[0] - a[0])
         if cr < -tol * edge:
-            return False
-    return True
-
-
-def contiguity_scan(subset_ids, points, s, tol=None):
-    """Exhaustive membership scan in the unwrapped chart."""
-    ids = sorted(subset_ids)
-    pts = np.asarray(points, float)
-    if tol is None:
-        tol = 1e-9 * s
-    anchor = pts[ids[0]]
-    rel = np.mod(pts - anchor + 0.5 * s, s) - 0.5 * s
-    hull = gift_wrap_hull(rel[ids])
-    members = set(ids)
-    for v in range(len(pts)):
-        if v in members:
-            continue
-        if point_in_polygon(rel[v], hull, tol):
             return False
     return True
 
@@ -355,8 +337,9 @@ Occurrence = namedtuple("Occurrence", "position rotation vertex_ids center")
 def roll_find_copies(lattice, template, points, anchor=None):
     """The earlier `find_copies`: a placement (i, j) of rotation q matches
     when every rolled occupancy mask of the rotated offsets is set there and
-    every rolled mask of its hull-interior cells is clear.  The interior
-    comes from `loop_interior_cells`, not from the library's template.
+    every rolled mask of its hull-interior cells is clear.  Each rotation
+    comes from `rotate_cells` and its interior from `loop_interior_cells`,
+    not from the library's template.
     Returns the Occurrence list in rotation-then-row-major order,
     deduplicated by vertex set.  With `anchor`, the rotation-0 placement
     there comes first and every later placement covering its vertex set is
@@ -379,7 +362,7 @@ def roll_find_copies(lattice, template, points, anchor=None):
                     for a, b in template.offsets)
         matches.append(occurrence(i, j, 0, ids))
     for q in range(4):
-        rot = template.rotated(q)
+        rot = PatternTemplate.from_offsets(rotate_cells(template.offsets, q))
         key = frozenset(rot.offsets)
         if key in seen_patterns:
             continue

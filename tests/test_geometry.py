@@ -235,44 +235,8 @@ def patterns(draw):
 @given(patterns())
 def test_interior_cells_match_loop_oracle(template):
     for q in range(4):
-        rot = template.rotated(q)
+        rot = geo.PatternTemplate.from_offsets(oracles.rotate_cells(template.offsets, q))
         assert list(rot.interior_cells()) == oracles.loop_interior_cells(rot.offsets)
-
-
-def test_is_contiguous_basic():
-    g = PointCloud([(0, 0), (2, 0), (1, 1)], 10)
-    assert geo.is_contiguous([0, 1], g) is True
-    g2 = PointCloud([(0, 0), (2, 0), (1, 0)], 10)
-    assert geo.is_contiguous([0, 1], g2) is False
-
-
-def test_is_contiguous_empty_rejected():
-    g = PointCloud([(0, 0), (1, 1)], 10)
-    with pytest.raises(ValueError):
-        geo.is_contiguous([], g)
-
-
-def test_is_contiguous_nonlocal_rejected():
-    g = PointCloud([(0, 0), (3, 0), (5.5, 0), (2, 5)], 8.0)
-    with pytest.raises(ValueError):
-        geo.is_contiguous([0, 1, 2], g)  # spans more than s/2 on the x axis
-
-
-def test_is_contiguous_vs_membership_oracle():
-    rng = np.random.default_rng(10)
-    s = 20.0
-    for trial in range(30):
-        pts = rng.uniform(0, 5, (12, 2)) + 6.0  # local cluster, no wrap
-        g = PointCloud(pts, s)
-        size = int(rng.integers(2, 6))
-        ids = sorted(rng.choice(12, size=size, replace=False).tolist())
-        assert geo.is_contiguous(ids, g) == oracles.contiguity_scan(ids, pts, s)
-
-
-def test_is_contiguous_wraparound_chart():
-    # cluster straddling the torus seam, plus one far vertex
-    g = PointCloud([(9.9, 9.9), (0.1, 0.1), (0.4, 9.8), (5, 5)], 10.0)
-    assert geo.is_contiguous([0, 1, 2], g) is True
 
 
 def test_quantize_example():
@@ -411,13 +375,6 @@ def test_pattern_template_normalization():
     assert t.k == 3
     with pytest.raises(ValueError):
         geo.PatternTemplate(k=2, offsets=((1, 1),))
-
-
-def test_pattern_template_rotation_cycle():
-    t = geo.PatternTemplate.from_offsets([(0, 0), (0, 1), (1, 2)])
-    assert t.rotated(4).offsets == t.offsets
-    seen = {t.rotated(q).offsets for q in range(4)}
-    assert len(seen) == 4  # this shape has no rotational symmetry
 
 
 def test_pattern_template_interior_cells():

@@ -87,6 +87,25 @@ def test_parse_config_rejects_bad_input():
         harness.parse_config(tuned_config() + "\ntheta = 0.3\nd = 2")
 
 
+@pytest.mark.parametrize("value, flag", [
+    ("1", True), ("true", True), ("Yes", True), ("TRUE", True),
+    ("0", False), ("false", False), ("No", False), ("FALSE", False),
+])
+def test_parse_config_reads_flag_spellings(value, flag):
+    cfg = harness.parse_config(tuned_config() + f"\nplant_rotate = {value}")
+    assert cfg.plant_rotate is flag
+
+
+@pytest.mark.parametrize("value", ["ture", "flase", "on", "off", "2", "y"])
+def test_parse_config_refuses_a_misspelt_flag(value):
+    """A typo is named with its key, line and value, not read as False."""
+    text = tuned_config() + f"\nplant_rotate = {value}"
+    lineno = len(text.splitlines())
+    with pytest.raises(ValueError,
+                       match=f"line {lineno}: plant_rotate = '{value}'"):
+        harness.parse_config(text)
+
+
 @pytest.mark.parametrize("key", ["eta", "seeds", "p"])
 def test_parse_config_rejects_a_list_key_with_no_value(key):
     """`eta =` would be an empty sweep, reported only as no runs."""

@@ -36,6 +36,15 @@ def test_default_params_closed_forms():
     assert big.eps == pytest.approx(0.07238, abs=5e-6)
 
 
+def test_default_params_w_follows_the_eps_in_use():
+    """w = eps ln^2 p from the eps the params end up with, so an eps
+    override alone neither trips `w >= eps` nor leaves w at ln p."""
+    lp = math.log(100)
+    assert sel.default_params(100, 0.1, eps=5.0).w == pytest.approx(5.0 * lp * lp)
+    assert sel.default_params(100, 0.1, eps=0.06).w == pytest.approx(0.06 * lp * lp)
+    assert sel.default_params(100, 0.1, eps=0.06, w=0.12).w == 0.12
+
+
 def test_selector_params_validation():
     with pytest.raises(ValueError):
         sel.SelectorParams(r=1, eps=0.1, w=0.1, theta=0.2)
@@ -137,7 +146,7 @@ def test_rotated_cells_match_rotated_templates(offsets):
     rotated template's offsets in slot order, then its interior cells."""
     template = PatternTemplate.from_offsets(offsets)
     for q, cells in enumerate(sel._rotated_cells(template)):
-        rot = template.rotated(q)
+        rot = PatternTemplate.from_offsets(oracles.rotate_cells(template.offsets, q))
         interior = cells[template.size:].tolist()
         assert cells[:template.size].tolist() == [list(o) for o in rot.offsets]
         assert len(interior) == len(rot.interior_cells())
@@ -968,19 +977,33 @@ def test_run_selection_min_zeta_isolated_components():
 
 
 def test_run_selection_report_json_schema():
+    """The report holds every field in declaration order, the first 14 as
+    they always were, and is strict JSON: this planted run's one window is
+    closed, and its zeta, math.inf, is written as null."""
     theta = 0.11
     graph, eps, _ = plantcfg.grid_plant_graph(p=100, theta=theta, seed=14)
     report = _exact_run(graph, eps, 20, theta)
     import json
 
-    blob = json.loads(report.to_json())
-    assert set(blob) == {
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    blob = json.loads(report.to_json(), parse_constant=refuse)
+    names = [f.name for f in dataclasses.fields(sel.SelectionReport)]
+    assert list(blob) == names
+    assert names[:14] == [
         "p", "n", "r", "eps", "w", "theta", "copies_found", "copies_used",
         "zero_one_loss", "missed_edges", "false_edges", "undecided_vertices",
         "runtime_ms", "edges",
-    }
+    ]
     assert blob["p"] == 100
     assert all(len(e) == 2 for e in blob["edges"])
+    assert report.achieved_zetas == [math.inf]
+    assert blob["achieved_zetas"] == [None]
+    assert blob["low_confidence"] is report.low_confidence
+    assert blob["conflicting_pairs"] == report.conflicting_pairs
+    assert blob["iterations"] == report.iterations == 1
+    assert blob["true_edge_count"] == report.true_edge_count
 
 
 def test_run_selection_requires_samples_or_exact():
