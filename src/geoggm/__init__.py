@@ -23,7 +23,6 @@ from .graphgen import (
     build_edges,
     generate,
     read_graph,
-    validate_family,
     write_graph,
 )
 from .gmrf import (
@@ -62,7 +61,7 @@ __all__ = [
     "CollisionError", "Lattice", "PatternTemplate", "Torus", "convex_hull",
     "matching_distance", "quantize", "similarity",
     "FamilyParams", "GeoGraph", "PlantSpec", "build_edges", "generate",
-    "read_graph", "validate_family", "write_graph",
+    "read_graph", "write_graph",
     "BlockIndex", "CouplingTooLarge", "NotPositiveDefinite", "PrecisionModel",
     "SampleMatrix", "assemble_precision", "cdp_check", "graph_distance",
     "hellinger", "local_precision_estimate", "read_samples",

@@ -65,6 +65,13 @@ def _cmd_select(args) -> int:
         print(f"warning: no vertex decided with r={params.r}, eps={report.eps:g}; "
               "a vertex is decided only when its beta-ball fits in a window core "
               "of r vertices", file=sys.stderr)
+    if report.low_confidence:
+        expected = bounds_mod.expected_copies_lattice(
+            report.r, report.eps, graph.params.eta, report.p)
+        print(f"warning: low confidence: {report.iterations} detections pooled "
+              f"{report.copies_used} copies, and some pooled only their own "
+              f"window; the expected lattice copies of an r={report.r} pattern "
+              f"at eps={report.eps:g} are {expected:.2g}", file=sys.stderr)
     print(f"wrote {args.out}: loss={report.zero_one_loss} "
           f"missed={report.missed_edges} false={report.false_edges} "
           f"undecided={len(report.undecided_vertices)}")

@@ -201,35 +201,6 @@ def convex_hull(points) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1])
 
 
-def point_in_hull(points, hull: np.ndarray, tol: float) -> np.ndarray:
-    """Membership of each of the (N, 2) `points` in a convex hull; points
-    on the boundary count as inside.
-
-    `hull` is counterclockwise as produced by convex_hull.  `tol` is an
-    absolute distance tolerance: a 1-point hull holds the points within
-    `tol` of it, a 2-point hull those within `tol` of its segment, and a
-    polygon those not more than `tol` outside any edge.
-    """
-    q = np.asarray(points, dtype=float).reshape(-1, 2).T
-    h = np.asarray(hull, dtype=float)
-    if len(h) == 1:
-        return np.hypot(q[0] - h[0][0], q[1] - h[0][1]) <= tol
-    if len(h) == 2:
-        a, b = h
-        ab = (b[0] - a[0], b[1] - a[1])
-        aq = (q[0] - a[0], q[1] - a[1])
-        denom = ab[0] * ab[0] + ab[1] * ab[1]
-        t = 0.0 if denom == 0.0 else np.clip(
-            (aq[0] * ab[0] + aq[1] * ab[1]) / denom, 0.0, 1.0)
-        return np.hypot(aq[0] - t * ab[0], aq[1] - t * ab[1]) <= tol
-    inside = np.ones(q.shape[1], dtype=bool)
-    for i in range(len(h)):
-        a, b = h[i], h[(i + 1) % len(h)]
-        edge = math.hypot(b[0] - a[0], b[1] - a[1])
-        inside &= ~(_cross(a, b, q) < -tol * edge)
-    return inside
-
-
 @dataclass(frozen=True)
 class PatternTemplate:
     """Occupied-node pattern inside a k x k bounding square of lattice cells.
@@ -277,7 +248,13 @@ class PatternTemplate:
         occupied = np.zeros(offs.max(axis=0) + 1, dtype=bool)
         occupied[tuple(offs.T)] = True
         cells = np.argwhere(~occupied)  # row-major
-        inside = point_in_hull(cells, convex_hull(offs.astype(float)), 1e-9)
+        r, c = cells.T
+        hull = convex_hull(offs).astype(int).tolist()
+        inside = np.ones(len(cells), dtype=bool)
+        # exact: a cell is kept on or left of every counterclockwise edge,
+        # so a segment hull (edges a -> b and b -> a) keeps its own line
+        for (a0, a1), (b0, b1) in zip(hull, hull[1:] + hull[:1]):
+            inside &= (b0 - a0) * (c - a1) >= (b1 - a1) * (r - a0)
         return tuple(map(tuple, cells[inside].tolist()))
 
 

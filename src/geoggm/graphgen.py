@@ -135,9 +135,6 @@ class GeoGraph:
             self._beta_pairs = self.torus.close_pairs(self.points, self.params.beta)
         return self._beta_pairs
 
-    def degrees(self) -> np.ndarray:
-        return np.asarray(self.adjacency.sum(axis=1)).ravel().astype(int)
-
     def edges(self) -> list[tuple[int, int]]:
         coo = self.adjacency.tocoo()
         uv = np.column_stack([coo.row, coo.col])[coo.row < coo.col]
@@ -214,44 +211,6 @@ def build_edges(points, d: int, beta: float, torus: Torus,
     )
     adj.sum_duplicates()
     return adj
-
-
-@dataclass
-class ValidationReport:
-    """Constraint audit of a generated graph; violations are data."""
-
-    degree_violations: list[tuple[int, int]]
-    length_violations: list[tuple[int, int, float]]
-    coupling_violation: bool
-    coupling_value: float
-    eta_beta_sq_over_d: float
-
-    @property
-    def ok(self) -> bool:
-        return (
-            not self.degree_violations
-            and not self.length_violations
-            and not self.coupling_violation
-        )
-
-
-def validate_family(g: GeoGraph) -> ValidationReport:
-    """Check degree cap, edge-length cap, and the coupling condition."""
-    prm = g.params
-    deg = g.degrees()
-    degree_violations = [(int(v), int(deg[v])) for v in np.nonzero(deg > prm.d)[0]]
-    uv = np.array(g.edges(), dtype=int).reshape(-1, 2)
-    duv = g.torus.distance(g.points[uv[:, 0]], g.points[uv[:, 1]])
-    long = duv > prm.beta * (1 + 1e-12)
-    length_violations = list(zip(*uv[long].T.tolist(), duv[long].tolist()))
-    coupling = prm.d * prm.theta
-    return ValidationReport(
-        degree_violations=degree_violations,
-        length_violations=length_violations,
-        coupling_violation=not (coupling < 0.5),
-        coupling_value=float(coupling),
-        eta_beta_sq_over_d=float(prm.eta * prm.beta**2 / prm.d),
-    )
 
 
 def _draw_kept(rng, count: int, s: float, keep, failure: str) -> np.ndarray:

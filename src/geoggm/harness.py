@@ -70,6 +70,7 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key-value format; `#` starts a comment."""
     kinds = typing.get_type_hints(ExperimentConfig)
     raw: dict = {}
+    set_on: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -79,6 +80,10 @@ def parse_config(text: str) -> ExperimentConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in kinds:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise ValueError(
+                f"line {lineno}: {key} is already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
             raw[key] = _parse_value(kinds[key], value)
         except ValueError as exc:

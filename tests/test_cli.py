@@ -104,6 +104,36 @@ def test_select_warns_when_nothing_decided(tmp_path, capsys):
     assert "r=2" in err and f"eps={blob['eps']:g}" in err
 
 
+def test_select_warns_when_a_detection_pooled_only_its_window(tmp_path, capsys):
+    """On this sparse unplanted graph each of the 78 detections finds only
+    its own window, so the n = 10 run is low-confidence: stderr names the
+    detections, the copies used and the expected lattice copies, and the
+    report and exit code are as without the warning."""
+    from geoggm import bounds
+
+    graph_file, samples_file = tmp_path / "g.txt", tmp_path / "x.csv"
+    assert cli.main(["generate", "--p", "200", "--eta", "1", "--d", "1",
+                     "--beta", "1.05", "--theta", "0.1", "--seed", "0",
+                     "--out", str(graph_file)]) == 0
+    assert cli.main(["sample", "--graph", str(graph_file), "--n", "10",
+                     "--seed", "2", "--out", str(samples_file)]) == 0
+    capsys.readouterr()
+    report_file = tmp_path / "rep.json"
+    rc = cli.main(["select", "--graph", str(graph_file), "--samples",
+                   str(samples_file), "--r", "8", "--eps", "0.3", "--w", "1",
+                   "--out", str(report_file)])
+    assert rc == 0
+    blob = json.loads(report_file.read_text())
+    assert blob["low_confidence"]
+    assert blob["iterations"] == blob["copies_used"] == 78
+    expected = bounds.expected_copies_lattice(8, blob["eps"], 1.0, 200)
+    assert f"{expected:.2g}" == "2.4e-09"
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "low confidence" in err
+    assert "78 detections pooled 78 copies" in err
+    assert f"r=8 pattern at eps={blob['eps']:g} are {expected:.2g}" in err
+
+
 @pytest.mark.parametrize("flags", [[], ["--samples", "x.csv", "--exact-cov"]],
                          ids=["neither", "both"])
 def test_select_needs_exactly_one_covariance_source(tmp_path, capsys, flags):

@@ -166,54 +166,6 @@ def test_convex_hull_counterclockwise_and_vs_gift_wrap():
 
 
 @st.composite
-def hull_queries(draw):
-    """A hull of random integer or real points, of one point or of collinear
-    points (a segment), with query points on its vertices, on its edges and
-    around it, and a tolerance."""
-    ints = st.integers(-5, 5)
-    kind = draw(st.sampled_from(["int", "real", "point", "line"]))
-    if kind == "int":
-        src = draw(st.lists(st.tuples(ints, ints), min_size=1, max_size=8))
-    elif kind == "real":
-        reals = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
-        src = draw(st.lists(st.tuples(reals, reals), min_size=1, max_size=8))
-    elif kind == "point":
-        src = [draw(st.tuples(ints, ints))]
-    else:
-        (a0, a1), (d0, d1) = draw(st.tuples(st.tuples(ints, ints),
-                                             st.tuples(ints, ints)))
-        ks = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=5))
-        src = [(a0 + k * d0, a1 + k * d1) for k in ks]
-    hull = geo.convex_hull(np.array(src, float))
-    queries = [tuple(v) for v in hull.tolist()]
-    for a, b in zip(hull, np.roll(hull, -1, axis=0)):
-        # the lattice points of an integer edge, the midpoint of a real one
-        steps = 2 if kind == "real" else max(1, math.gcd(*map(int, b - a)))
-        queries += [tuple(a + (b - a) * t / steps) for t in range(1, steps)]
-    queries += draw(st.lists(st.tuples(st.integers(-7, 7), st.integers(-7, 7)),
-                             max_size=30))
-    queries += draw(st.lists(st.tuples(
-        st.floats(-7, 7, allow_nan=False), st.floats(-7, 7, allow_nan=False)),
-        max_size=10))
-    tol = draw(st.sampled_from([0.0, 1e-9, 0.5]))
-    if len(hull) <= 2:
-        # the oracle reaches the distance to a point or segment by another
-        # rounding path, so points on it agree only under a positive tol
-        tol = max(tol, 1e-9)
-    return np.array(queries, float), hull, tol
-
-
-@settings(max_examples=300, deadline=None, database=None)
-@given(hull_queries())
-def test_point_in_hull_matches_polygon_oracle(case):
-    points, hull, tol = case
-    got = geo.point_in_hull(points, hull, tol)
-    want = [oracles.point_in_polygon(q, hull, tol) for q in points]
-    assert got.dtype == bool
-    assert got.tolist() == want
-
-
-@st.composite
 def patterns(draw):
     """Normalized patterns: random cell sets, a single cell, or a line."""
     ints = st.integers(0, 9)

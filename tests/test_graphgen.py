@@ -41,6 +41,11 @@ def test_family_params_invariants():
         small_params(beta=1.0)  # eta*beta^2 = 1 < d
     with pytest.raises(ValueError):
         small_params(p=0)
+    # both rules are strict: each boundary is refused
+    with pytest.raises(ValueError, match=r"d\*theta = 0\.5 must be < 1/2"):
+        small_params(d=3, theta=1.0 / 6.0)  # d*theta = 1/2
+    with pytest.raises(ValueError, match="must exceed d = 1"):
+        gg.FamilyParams(p=100, eta=4.0, d=1, beta=0.5, theta=0.1)  # eta*beta^2 = d
 
 
 @pytest.mark.parametrize("name", ["eta", "beta", "theta"])
@@ -114,39 +119,12 @@ def test_build_edges_order_free():
 def test_generated_graph_satisfies_caps():
     for seed in range(5):
         g = gg.generate(small_params(seed=seed))
-        deg = g.degrees()
+        deg = np.diff(g.adjacency.indptr)
         assert deg.max() <= 3
         assert 2 * g.edge_count() == deg.sum()
         assert g.edge_count() <= g.p * 3 / 2
         for u, v in g.edges():
             assert g.torus.distance(g.points[u], g.points[v]) <= 2.2 * (1 + 1e-12)
-
-
-def test_validate_family_clean_graph():
-    rep = gg.validate_family(gg.generate(small_params()))
-    assert rep.ok
-    assert rep.eta_beta_sq_over_d == pytest.approx(2.2**2 / 3)
-
-
-def test_validate_family_flags_long_edge():
-    from scipy.sparse import csr_matrix
-
-    prm = small_params()  # s = 10, beta = 2.2
-    pts = np.zeros((100, 2))
-    pts[0] = (0.0, 0.0)
-    pts[1] = (0.0, 4.4)  # 2 * beta, no wraparound shortcut at s = 10
-    pts[2:] = np.random.default_rng(0).uniform(5, 9, (98, 2))
-    pts[2] = (0.5, 9.0)
-    pts[3] = (0.5, 2.5)  # 6.5 apart in the chart, 3.5 across the seam
-    # the seam edge is listed first: the report sorts by endpoints
-    rows, cols = [3, 2, 0, 1], [2, 3, 1, 0]
-    adj = csr_matrix((np.ones(4, dtype=np.int8), (rows, cols)), shape=(100, 100))
-    g = gg.GeoGraph(params=prm, points=pts, adjacency=adj, torus=Torus(prm.s))
-    rep = gg.validate_family(g)
-    assert rep.length_violations == [
-        (u, v, g.torus.distance(pts[u], pts[v])) for u, v in ((0, 1), (2, 3))]
-    assert rep.length_violations[1][2] == 3.5
-    assert not rep.degree_violations
 
 
 def test_edges_sorted_upper_triangle():
@@ -166,15 +144,6 @@ def test_edges_sorted_upper_triangle():
     coo = g.adjacency.tocoo()
     assert g.edges() == sorted(
         (int(u), int(v)) for u, v in zip(coo.row, coo.col) if u < v)
-
-
-def test_validate_family_flags_boundary_coupling():
-    # d*theta = 1/2 exactly must be flagged: strict inequality required
-    g = gg.generate(small_params())
-    object.__setattr__(g.params, "theta", 1.0 / 6.0)
-    rep = gg.validate_family(g)
-    assert rep.coupling_violation
-    assert rep.coupling_value == pytest.approx(0.5)
 
 
 def test_planted_copies_identical_induced_subgraphs():

@@ -106,6 +106,18 @@ def test_parse_config_refuses_a_misspelt_flag(value):
         harness.parse_config(text)
 
 
+@pytest.mark.parametrize("key, value", [("p", "2000"), ("eps", "0.1")])
+def test_parse_config_refuses_a_repeated_key(key, value):
+    """A key set twice names both lines; the last value was once kept."""
+    lines = tuned_config().splitlines()
+    first = 1 + next(i for i, line in enumerate(lines)
+                     if line.startswith(f"{key} ="))
+    text = "\n".join(lines + [f"{key} = {value}"])
+    with pytest.raises(ValueError, match=(
+            f"line {len(lines) + 1}: {key} is already set on line {first}$")):
+        harness.parse_config(text)
+
+
 @pytest.mark.parametrize("key", ["eta", "seeds", "p"])
 def test_parse_config_rejects_a_list_key_with_no_value(key):
     """`eta =` would be an empty sweep, reported only as no runs."""
