@@ -69,20 +69,20 @@ class Torus:
         """Indices of the points kept by a scan in order that keeps each
         point unless an earlier kept point lies closer than `sep`.
 
-        The kd-tree, queried a hair beyond `sep`, proposes the pairs; each
-        is decided by the exact distance from the later point to the
-        earlier one, so a pair exactly `sep` apart does not clash.
+        The kd-tree, queried a hair beyond `sep`, proposes the pairs; the
+        exact distance from the later point to the earlier one decides each
+        (a pair exactly `sep` apart does not clash), and the clashing pairs,
+        in order of their later point, drop it where the earlier is kept.
         """
         X = np.asarray(points, dtype=float)
         i, j = self.close_pairs(X, sep + 1e-9 * self.s).T
         hit = self.distance(X[j], X[i]) < sep
-        clashes = [[] for _ in range(len(X))]
-        for a, b in zip(i[hit].tolist(), j[hit].tolist()):
-            clashes[b].append(a)
-        kept = [False] * len(X)
-        for b, earlier in enumerate(clashes):
-            kept[b] = not any(kept[a] for a in earlier)
-        return [b for b, ok in enumerate(kept) if ok]
+        order = np.argsort(j[hit], kind="stable")
+        kept = [True] * len(X)
+        for a, b in zip(i[hit][order].tolist(), j[hit][order].tolist()):
+            if kept[a]:
+                kept[b] = False
+        return np.flatnonzero(kept).tolist()
 
 
 def _as_points(x, name: str) -> np.ndarray:
@@ -248,13 +248,11 @@ class PatternTemplate:
         occupied = np.zeros(offs.max(axis=0) + 1, dtype=bool)
         occupied[tuple(offs.T)] = True
         cells = np.argwhere(~occupied)  # row-major
-        r, c = cells.T
-        hull = convex_hull(offs).astype(int).tolist()
-        inside = np.ones(len(cells), dtype=bool)
-        # exact: a cell is kept on or left of every counterclockwise edge,
-        # so a segment hull (edges a -> b and b -> a) keeps its own line
-        for (a0, a1), (b0, b1) in zip(hull, hull[1:] + hull[:1]):
-            inside &= (b0 - a0) * (c - a1) >= (b1 - a1) * (r - a0)
+        a = convex_hull(offs).astype(int)
+        e, d = np.roll(a, -1, axis=0) - a, cells[:, None] - a
+        # exact: a cell is kept on or left of every counterclockwise edge e
+        # from a, so a segment hull (edges both ways) keeps its own line
+        inside = (e[:, 0] * d[..., 1] >= e[:, 1] * d[..., 0]).all(axis=1)
         return tuple(map(tuple, cells[inside].tolist()))
 
 

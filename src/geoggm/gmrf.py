@@ -117,7 +117,6 @@ class PrecisionModel:
         if not np.array_equal(self._lu.perm_r, self._lu.perm_c):
             raise NotPositiveDefinite("factorization lost symmetry")
         self._dvec = dvec
-        self._Lt = self._lu.L.T.tocsr()
 
     def covariance(self) -> np.ndarray:
         """Dense inverse of J, by p linear solves.  Only sensible for
@@ -140,7 +139,7 @@ class PrecisionModel:
         rng = np.random.default_rng(seed)
         z = rng.standard_normal((self.p, n))
         y = z / np.sqrt(self._dvec)[:, None]
-        xp = spsolve_triangular(self._Lt, y, lower=False)
+        xp = spsolve_triangular(self._lu.L.T, y, lower=False, unit_diagonal=True)
         x = xp[self._lu.perm_c]
         return SampleMatrix(n=n, data=np.ascontiguousarray(x.T), seed=seed)
 

@@ -107,7 +107,8 @@ class PlantSpec:
 
 @dataclass
 class GeoGraph:
-    """A geometric graph: points on a torus plus sparse symmetric adjacency.
+    """A geometric graph: points on a torus plus sparse symmetric adjacency,
+    every stored entry an edge (an explicit zero is refused).
 
     `plants`, when present, lists the vertex ids of each planted copy in
     template slot order (slot t of every copy is the image of template
@@ -123,6 +124,12 @@ class GeoGraph:
     plants: tuple[tuple[int, ...], ...] | None = None
     _beta_pairs: np.ndarray | None = field(
         default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        coo = self.adjacency.tocoo()
+        if not coo.data.all():
+            u, v = min(zip(coo.row[coo.data == 0], coo.col[coo.data == 0]))
+            raise ValueError(f"adjacency stores an explicit zero at ({u}, {v})")
 
     @property
     def p(self) -> int:

@@ -112,13 +112,13 @@ class CopySet:
     separated: list[int] = field(default_factory=list)
 
 
-def _rotated_cells(template: PatternTemplate) -> list[np.ndarray]:
-    """The pattern offsets, in slot order, then the hull-interior cells,
-    under each quarter turn q = 0..3 and shifted so the rotated offsets
-    touch (0, 0): one hull for all four rotations."""
+def _rotated_cells(template: PatternTemplate) -> np.ndarray:
+    """The (4, cells, 2) pattern offsets, in slot order, then the
+    hull-interior cells, under each quarter turn q = 0..3 and shifted so
+    the rotated offsets touch (0, 0): one hull for all four rotations."""
     cells = np.array(template.offsets + template.interior_cells())
-    rotations = [grid_rotate(cells, q).astype(int) for q in range(4)]
-    return [rot - rot[:template.size].min(axis=0) for rot in rotations]
+    rot = np.stack([grid_rotate(cells, q) for q in range(4)]).astype(int)
+    return rot - rot[:, :template.size].min(axis=1, keepdims=True)
 
 
 def find_copies(lattice: Lattice, template: PatternTemplate, graph,
@@ -129,10 +129,10 @@ def find_copies(lattice: Lattice, template: PatternTemplate, graph,
     no foreign vertex sits inside the pattern's convex hull (checked on
     the hull-interior cells).  Only placements that put the first pattern
     offset on an occupied node are tried; they wrap around the torus and
-    are scanned in row-major order, rotation by rotation.  The placements
-    are filtered slot by slot: each later offset is looked up only at the
-    placements whose earlier offsets were all occupied, and the hull
-    interior is read only at the placements that survive every slot.
+    are scanned in one pass, rotation-major and row-major within.  Each
+    later offset, under the placement's own rotation, is looked up only at
+    the placements whose earlier offsets were all occupied, and the hull
+    interior is read once, at the placements that survive every slot.
     Duplicates across rotations of symmetric patterns are removed by
     occurrence vertex set.  `first`, the slot ids of an occurrence (the
     window's own), is row 0 in its own slot order: every placement
@@ -140,26 +140,21 @@ def find_copies(lattice: Lattice, template: PatternTemplate, graph,
     on the lattice and another placement lists the same vertices in
     another order.
     """
-    m = lattice.m
+    m, size = lattice.m, template.size
     if template.k > m:
         raise ValueError("pattern exceeds the lattice size")
-    blocks = [np.reshape(np.asarray([] if first is None else first, dtype=int),
-                         (-1, template.size))]
-    for rot in _rotated_cells(template):
-        # one placement per occupied node under the first offset, so the
-        # codes i * m + j are distinct; sorting them orders rows row-major
-        (a0, b0), *later = rot[:template.size].tolist()
-        i, j = np.divmod(np.sort((lattice.nodes[:, 0] - a0) % m * m
-                                 + (lattice.nodes[:, 1] - b0) % m), m)
-        for a, b in later:
-            hit = lattice.lookup(i + a, j + b) >= 0
-            i, j = i[hit], j[hit]
-        if not len(i):
-            continue
-        found = lattice.lookup(i[:, None] + rot[:, 0], j[:, None] + rot[:, 1])
-        blocks.append(found[(found[:, template.size:] < 0).all(axis=1),
-                            :template.size])
-    rows = np.concatenate(blocks)
+    rot = _rotated_cells(template)
+    # one placement per rotation q and occupied node under the first offset,
+    # so the codes (q * m + i) * m + j are distinct; sorted, they scan in order
+    a, b = np.moveaxis((lattice.nodes - rot[:, :1]) % m, 2, 0)
+    q, i, j = np.unravel_index(np.sort(np.ravel_multi_index(
+        (np.arange(4)[:, None], a, b), (4, m, m)), axis=None), (4, m, m))
+    for t in range(1, size):
+        hit = lattice.lookup(i + rot[q, t, 0], j + rot[q, t, 1]) >= 0
+        q, i, j = q[hit], i[hit], j[hit]
+    found = lattice.lookup(i[:, None] + rot[q, :, 0], j[:, None] + rot[q, :, 1])
+    head = np.reshape(np.asarray([] if first is None else first, dtype=int), (-1, size))
+    rows = np.concatenate((head, found[(found[:, size:] < 0).all(axis=1), :size]))
     # each vertex set's first row in scan order
     _, idx = np.unique(np.sort(rows, axis=1), axis=0, return_index=True)
     matches = rows[np.sort(idx)]

@@ -31,6 +31,9 @@ shapes of library code kept as references for their rewrites:
   per candidate pair, one anchor draw measured against every kept anchor
   at a time, one background draw and ball query at a time, and `np.mod`
   as the wrap.
+- `scaled_triangular_sample`, `PrecisionModel.sample` before it told
+  the triangular solve that the factor has a unit diagonal: a CSR copy
+  of L^T whose diagonal the solve divides by.
 """
 import itertools
 import math
@@ -40,6 +43,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.integrate import quad
+from scipy.sparse.linalg import spsolve_triangular
 from scipy.sparse.csgraph import shortest_path
 from scipy.spatial import cKDTree
 
@@ -792,3 +796,13 @@ def count_regular_graphs(k, d):
         if all(x == d for x in deg):
             count += 1
     return count
+
+
+def scaled_triangular_sample(model, n, seed):
+    """The earlier `PrecisionModel.sample`: standard normals scaled by the
+    LDL^T pivots, then solved against a CSR copy of L^T, diagonal read."""
+    lu = model._lu
+    z = np.random.default_rng(seed).standard_normal((model.p, n))
+    y = z / np.sqrt(lu.U.diagonal())[:, None]
+    xp = spsolve_triangular(lu.L.T.tocsr(), y, lower=False)
+    return np.ascontiguousarray(xp[lu.perm_c].T)

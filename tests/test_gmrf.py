@@ -105,6 +105,19 @@ def test_sample_deterministic():
     assert np.array_equal(a.data, b.data)
 
 
+@pytest.mark.parametrize("d, beta, theta", [(1, 1.05, 0.1), (2, 1.45, 0.11),
+                                             (3, 2.2, 0.1)])
+def test_sample_matches_scaled_solve(d, beta, theta):
+    """Telling the solve that SuperLU's L has a unit diagonal only skips
+    divisions by 1.0: the samples equal the diagonal-reading solve's."""
+    for seed in range(3):
+        g = gg.generate(gg.FamilyParams(p=500, eta=1.0, d=d, beta=beta,
+                                        theta=theta, seed=seed))
+        m = gmrf.assemble_precision(g.adjacency, theta, d)
+        assert np.array_equal(m.sample(10, seed + 20).data,
+                              oracles.scaled_triangular_sample(m, 10, seed + 20))
+
+
 def test_sample_covariance_matches_model():
     """Moment check against the exact covariance."""
     prm = gg.FamilyParams(p=30, eta=1.0, d=3, beta=2.2, theta=0.15, seed=8)

@@ -146,6 +146,24 @@ def test_edges_sorted_upper_triangle():
         (int(u), int(v)) for u, v in zip(coo.row, coo.col) if u < v)
 
 
+def test_geograph_refuses_stored_zero():
+    """An explicitly stored zero is an edge to `nnz` and `write_graph` but
+    not to the precision, the loss or `graph_distance`: the graph refuses
+    it, naming its first entry, also through `dataclasses.replace`."""
+    import dataclasses
+
+    g = gg.generate(gg.FamilyParams(p=200, eta=1, d=1, beta=1.05, theta=0.1,
+                                    seed=0))
+    u, v = g.edges()[0]
+    B = g.adjacency.copy()
+    B[u, v] = B[v, u] = 0
+    assert B.nnz == g.adjacency.nnz
+    with pytest.raises(ValueError, match=rf"explicit zero at \({u}, {v}\)"):
+        dataclasses.replace(g, adjacency=B)
+    B.eliminate_zeros()
+    assert dataclasses.replace(g, adjacency=B).edge_count() == g.edge_count() - 1
+
+
 def test_planted_copies_identical_induced_subgraphs():
     rng = np.random.default_rng(5)
     tmpl = rng.uniform(0, 1.2, (6, 2))

@@ -164,6 +164,68 @@ def test_find_copies_periodic_pattern_keeps_window_row():
     assert sel.find_copies(lat, template, cloud).matches.tolist() == [[2, 0, 1]]
 
 
+def _copies_against_oracle(nodes, m, offsets):
+    """`find_copies` rows on a unit lattice, checked against the rolled-mask
+    search, with the rotation each oracle row was found under."""
+    lat, cloud = _lattice_from_nodes(nodes, m)
+    template = PatternTemplate.from_offsets(offsets)
+    want = oracles.roll_find_copies(lat, template, cloud.points)
+    got = sel.find_copies(lat, template, cloud)
+    assert got.matches.tolist() == [list(o.vertex_ids) for o in want]
+    assert np.array_equal(got.centers, np.array([o.center for o in want]))
+    return got.matches.tolist(), [o.rotation for o in want]
+
+
+def test_find_copies_half_turn_symmetric_pattern_keeps_first_rotation():
+    """A segment is its own half turn: each copy is found under rotations
+    0 and 2, with its slots swapped, and kept once, in rotation 0's order."""
+    nodes = [(1, 1), (2, 3), (5, 4), (6, 6), (7, 0), (5, 1)]
+    rows, rotations = _copies_against_oracle(nodes, 9, [(0, 0), (1, 2)])
+    # (7, 0) and (5, 1) hold the quarter-turned segment
+    assert rows == [[0, 1], [2, 3], [4, 5]]
+    assert rotations == [0, 0, 1]
+    occupied = np.zeros((9, 9), dtype=bool)
+    occupied[tuple(np.array(nodes).T)] = True
+    assert len(oracles.brute_copy_scan(occupied, [(0, 0), (1, 2)], dedup=False)) == 6
+
+
+def test_find_copies_placement_across_the_seam():
+    """An L whose arms wrap across both seams is found at (m-1, m-1)."""
+    nodes = [(8, 8), (8, 0), (0, 8), (4, 4), (4, 5), (5, 4)]
+    rows, rotations = _copies_against_oracle(nodes, 9, [(0, 0), (0, 1), (1, 0)])
+    assert rows == [[3, 4, 5], [0, 1, 2]]
+    assert rotations == [0, 0]
+
+
+def test_find_copies_empty_rotation_between_full_ones():
+    """Rotation 0 holds three copies, rotation 1 none (its first slot
+    lands on every node, no placement survives), rotation 2 two."""
+    rot0 = [(0, 0), (0, 1), (1, 0)]
+    rot2 = [(1, 1), (1, 0), (0, 1)]
+    nodes = [(a + i, b + j) for i, j in ((0, 0), (0, 4), (4, 0)) for a, b in rot0]
+    nodes += [(a + i, b + j) for i, j in ((8, 8), (4, 8)) for a, b in rot2]
+    rows, rotations = _copies_against_oracle(nodes, 12, rot0)
+    assert rotations == [0, 0, 0, 2, 2]
+    assert rows == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [12, 13, 14], [9, 10, 11]]
+
+
+def test_separated_exact_distance_and_repeated_points():
+    """A center exactly w from a kept one is kept, across the seam too; a
+    repeated center is dropped; a center that clashes only with a dropped
+    one is kept."""
+    centers = np.array([(0.0, 0.0), (0.0, 0.0), (2.0, 0.0), (2.0, 0.0),
+                        (4.0, 0.0), (1.0, 0.0), (8.0, 0.0), (5.5, 5.0),
+                        (7.0, 5.0), (8.5, 5.0)])
+    torus = Torus(10.0)
+    occurrences = [oracles.Occurrence(None, 0, (i,), c)
+                   for i, c in enumerate(centers)]
+    want = oracles.scan_separated(occurrences, torus, 2.0)
+    assert want == [0, 2, 4, 6, 7, 9]
+    assert torus.separated(centers, 2.0) == want
+    copies = _single_node_copies(centers, torus)
+    assert sel.greedy_separated(copies, 2.0).separated == want
+
+
 # rotation-symmetric patterns: their rotations coincide or cover the same
 # vertex sets, which the search must deduplicate
 SYMMETRIC = [
