@@ -23,7 +23,6 @@ def _add_family_args(sub):
     sub.add_argument("--d", type=int, required=True, help="max vertex degree")
     sub.add_argument("--beta", type=float, required=True, help="max edge length")
     sub.add_argument("--theta", type=float, required=True, help="coupling")
-    sub.add_argument("--seed", type=int, default=0, help="RNG seed")
 
 
 def _cmd_generate(args) -> int:
@@ -136,6 +135,7 @@ def main(argv=None) -> int:
              "`p s eta beta d theta seed`, `v id x y` lines, `e u v` lines",
     )
     _add_family_args(p_gen)
+    p_gen.add_argument("--seed", type=int, default=0, help="RNG seed")
     p_gen.add_argument("--out", required=True, help="output graph file")
     p_gen.set_defaults(func=_cmd_generate)
 
@@ -169,11 +169,7 @@ def main(argv=None) -> int:
     p_bnd = subs.add_parser(
         "bounds", help="print the sample-complexity and counting table",
     )
-    p_bnd.add_argument("--p", type=int, required=True)
-    p_bnd.add_argument("--eta", type=float, required=True)
-    p_bnd.add_argument("--d", type=int, required=True)
-    p_bnd.add_argument("--beta", type=float, required=True)
-    p_bnd.add_argument("--theta", type=float, required=True)
+    _add_family_args(p_bnd)
     p_bnd.add_argument("--eps", type=float)
     p_bnd.add_argument("--r", type=int)
     p_bnd.add_argument("--l-bar", type=float, dest="l_bar")

@@ -78,7 +78,6 @@ class PrecisionModel:
     The factorization is an LDL^T obtained from SuperLU in symmetric mode
     with diagonal pivoting; it certifies positive definiteness, drives the
     sampler, and answers covariance-submatrix queries by linear solves.
-    The full covariance is solved for only on request.
     """
 
     def __init__(self, E: sp.spmatrix, theta: float, d: int):
@@ -99,9 +98,6 @@ class PrecisionModel:
         self.d = int(d)
         self.E = E
         self.J = (sp.eye(self.p, format="csr") + theta * E).tocsc()
-        self._factorize()
-
-    def _factorize(self):
         try:
             self._lu = splu(
                 self.J,
@@ -117,11 +113,6 @@ class PrecisionModel:
         if not np.array_equal(self._lu.perm_r, self._lu.perm_c):
             raise NotPositiveDefinite("factorization lost symmetry")
         self._dvec = dvec
-
-    def covariance(self) -> np.ndarray:
-        """Dense inverse of J, by p linear solves.  Only sensible for
-        moderate p."""
-        return self._lu.solve(np.eye(self.p))
 
     def covariance_submatrix(self, ids) -> np.ndarray:
         """Rows/columns `ids` of the covariance, via |ids| linear solves."""

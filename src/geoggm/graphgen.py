@@ -108,7 +108,7 @@ class PlantSpec:
 @dataclass
 class GeoGraph:
     """A geometric graph: points on a torus plus sparse symmetric adjacency,
-    every stored entry an edge (an explicit zero is refused).
+    every edge stored as 1 (any other stored value is refused).
 
     `plants`, when present, lists the vertex ids of each planted copy in
     template slot order (slot t of every copy is the image of template
@@ -127,9 +127,10 @@ class GeoGraph:
 
     def __post_init__(self):
         coo = self.adjacency.tocoo()
-        if not coo.data.all():
-            u, v = min(zip(coo.row[coo.data == 0], coo.col[coo.data == 0]))
-            raise ValueError(f"adjacency stores an explicit zero at ({u}, {v})")
+        bad = coo.data != 1
+        if bad.any():
+            u, v, val = min(zip(coo.row[bad], coo.col[bad], coo.data[bad]))
+            raise ValueError(f"adjacency stores {val} at ({u}, {v}), not 1")
 
     @property
     def p(self) -> int:

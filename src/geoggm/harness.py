@@ -305,21 +305,10 @@ def _aggregate(records: list[RunRecord]):
 
 
 def emit_outputs(records: list[RunRecord], out_dir) -> tuple[str, str]:
-    """Write runs.json (full records) and summary.csv (aggregates).
-
-    The output directory must be writable; this is probed before anything
-    is written so a sweep never half-emits.
-    """
+    """Write runs.json (full records) and summary.csv (aggregates)."""
     if not records:
         raise ValueError("no records to emit")
     os.makedirs(out_dir, exist_ok=True)
-    probe = os.path.join(out_dir, ".write_probe")
-    try:
-        with open(probe, "w") as fh:
-            fh.write("ok")
-    finally:
-        if os.path.exists(probe):
-            os.remove(probe)
     runs_path = os.path.join(out_dir, "runs.json")
     with open(runs_path, "w") as fh:
         json.dump([asdict(rec) for rec in records], fh, indent=1)

@@ -218,13 +218,11 @@ def detect_edges(S: np.ndarray, h_slots, threshold: float):
     return adj, j_hat
 
 
-def default_k_cap(r: int, eta: float, eps: float, m: int) -> int:
-    """Window-size sanity cap: about (1/eps) sqrt(r/eta) log r nodes."""
+def default_k_cap(r: int, eta: float, eps: float) -> int:
+    """Window-size sanity cap: about (1/eps) sqrt(r/eta) log r nodes, at
+    least 3.  The scan clamps it to the lattice side."""
     cap = math.ceil(math.sqrt(r / eta) * math.log(max(r, 3)) / eps)
-    return max(3, min(cap, m))
-
-
-BAND_CELLS = 1 << 15
+    return max(3, cap)
 
 
 def _candidate_squares(lattice: Lattice, r: int, k_cap: int, settled):
@@ -236,29 +234,26 @@ def _candidate_squares(lattice: Lattice, r: int, k_cap: int, settled):
     `ids`, in increasing order.  A window is yielded only if one of its
     vertices is not `settled`, a live mask the caller may extend in place.
 
-    The scan goes one band of anchor rows at a time and yields a band's
-    windows before it reads the next, so a caller that stops early pays
-    for the rows it reached times m, not for the m x m lattice.  A band
-    counts windows exactly, by inclusion-exclusion on two prefix tables
-    (occupied cells; cells of unsettled vertices) over its own nb + K - 1
-    rows of the 2 x 2 tiled lattice and the m + K - 1 columns a window
-    reaches (K = min(k_cap, m)).  It keeps the anchors whose K-window
-    holds r vertices, one unsettled, and finds their k by binary lifting:
-    from K, step down by each power of two, largest first, wherever the
-    smaller window still holds r.  Counts grow with k from 0 at k = 0, so
-    this is exact in about log2 K numpy calls.  A band has at least K
-    rows, so the extra rows at most double it, and about BAND_CELLS
-    anchors; the yields do not depend on its height.
+    The scan goes one band of K = min(k_cap, m) anchor rows at a time and
+    yields a band's windows before it reads the next, so a caller that
+    stops early pays for the rows it reached times m, not for the m x m
+    lattice.  A band counts windows exactly, by inclusion-exclusion on two
+    prefix tables (occupied cells; cells of unsettled vertices) over its
+    own nb + K - 1 rows of the 2 x 2 tiled lattice and the m + K - 1
+    columns a window reaches.  It keeps the anchors whose K-window holds r
+    vertices, one unsettled, and finds their k by binary lifting: from K,
+    step down by each power of two, largest first, wherever the smaller
+    window still holds r.  Counts grow with k from 0 at k = 0, so this is
+    exact in about log2 K numpy calls.
     """
     m = lattice.m
     K = min(k_cap, m)
-    band = max(K, math.ceil(BAND_CELLS / m))
 
     def box(T, i, j, k):
         return T[i + k, j + k] - T[i, j + k] - T[i + k, j] + T[i, j]
 
-    for i0 in range(0, m, band):
-        nb = min(band, m - i0)
+    for i0 in range(0, m, K):
+        nb = min(K, m - i0)
         cells = lattice.tiled_block(i0, nb + K - 1, m + K - 1)
         occupied = cells >= 0
         P, Q = (np.pad(c.cumsum(0, dtype=np.int32).cumsum(1, dtype=np.int32),
@@ -326,10 +321,6 @@ class SelectionReport:
     achieved_zetas: list[float] = field(default_factory=list)
     conflicting_pairs: int = 0
     low_confidence: bool = False
-
-    @property
-    def edge_error_rate(self) -> float:
-        return (self.missed_edges + self.false_edges) / max(1, self.true_edge_count)
 
     def to_json(self) -> str:
         """Every field, in declaration order, as strict JSON; a closed
@@ -457,9 +448,7 @@ def run_selection(
 
     lattice = _quantize_with_backoff(graph, params.eps)
     eps_used = lattice.eps
-    k_cap = params.k_cap or default_k_cap(
-        params.r, graph.params.eta, eps_used, lattice.m
-    )
+    k_cap = params.k_cap or default_k_cap(params.r, graph.params.eta, eps_used)
     # an image holds at most r vertices, so a larger ball is never marked
     hopeless = ball_sizes > params.r
     settled = hopeless.copy()

@@ -546,7 +546,7 @@ def restart_selection(graph, params, samples=None, model=None,
                                    graph.params.d)
     lattice = sel._quantize_with_backoff(graph, params.eps)
     k_cap = params.k_cap or sel.default_k_cap(
-        params.r, graph.params.eta, lattice.eps, lattice.m)
+        params.r, graph.params.eta, lattice.eps)
     pts = np.mod(graph.points, graph.torus.s)
     balls = cKDTree(pts, boxsize=graph.torus.s).query_ball_point(pts, beta)
 

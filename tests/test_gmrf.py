@@ -32,14 +32,14 @@ def test_assemble_path_precision():
 def test_assemble_empty_graph_gives_identity():
     m = gmrf.assemble_precision(sp.csr_matrix((4, 4), dtype=np.int8), 0.3, 1)
     assert np.allclose(m.J.toarray(), np.eye(4))
-    assert np.allclose(m.covariance(), np.eye(4))
+    assert np.allclose(m.covariance_submatrix(np.arange(m.p)), np.eye(4))
 
 
 def test_covariance_submatrix_matches_full_covariance():
     """The submatrix solves give the full inverse's entries bit for bit."""
     prm = gg.FamilyParams(p=500, eta=1.0, d=4, beta=2.5, theta=0.12, seed=4)
     m = gmrf.assemble_precision(gg.generate(prm).adjacency, 0.12, 4)
-    full = m.covariance()
+    full = m.covariance_submatrix(np.arange(m.p))
     rng = np.random.default_rng(0)
     for _ in range(20):
         ids = rng.choice(500, size=25, replace=False)
@@ -75,7 +75,7 @@ def test_precision_norm_bound():
         prm = gg.FamilyParams(p=60, eta=1.0, d=3, beta=2.2, theta=0.15, seed=seed)
         g = gg.generate(prm)
         m = gmrf.assemble_precision(g.adjacency, 0.15, 3)
-        cov_norm = np.linalg.norm(m.covariance(), 2)
+        cov_norm = np.linalg.norm(m.covariance_submatrix(np.arange(m.p)), 2)
         assert cov_norm <= 1.0 / (1 - 3 * 0.15) + 1e-10
         # the walk expansion premise: coupling block norm below 1/2
         e_norm = np.linalg.norm(0.15 * g.adjacency.toarray(), 2)
@@ -126,7 +126,7 @@ def test_sample_covariance_matches_model():
     n = 200000
     s = m.sample(n, seed=5)
     scm = s.data.T @ s.data / n
-    assert np.abs(scm - m.covariance()).max() < 0.03
+    assert np.abs(scm - m.covariance_submatrix(np.arange(m.p))).max() < 0.03
 
 
 def test_schur_two_by_two():
@@ -171,7 +171,7 @@ def test_local_precision_full_graph_exact():
     """With the window covering everything, the estimate is the exact
     inverse of the core's precision submatrix."""
     m = gmrf.assemble_precision(path_adjacency(12), 0.2, 2)
-    theta_full = m.covariance()
+    theta_full = m.covariance_submatrix(np.arange(m.p))
     block = gmrf.BlockIndex.of(H=[4, 5, 6], F=list(range(12)))
     est = gmrf.local_precision_estimate(theta_full, block)
     exact = np.linalg.inv(m.J[np.ix_([4, 5, 6], [4, 5, 6])].toarray())
@@ -191,7 +191,7 @@ def test_local_precision_path_sweep_under_envelope():
     sweep, and the interior-core estimate is exact to rounding."""
     p, theta = 40, 0.2
     m = gmrf.assemble_precision(path_adjacency(p), theta, 2)
-    theta_full = m.covariance()
+    theta_full = m.covariance_submatrix(np.arange(m.p))
     H = [18, 19, 20, 21]
     exact = np.linalg.inv(m.J[np.ix_(H, H)].toarray())
     prev = math.inf

@@ -147,19 +147,23 @@ def test_edges_sorted_upper_triangle():
 
 
 def test_geograph_refuses_stored_zero():
-    """An explicitly stored zero is an edge to `nnz` and `write_graph` but
-    not to the precision, the loss or `graph_distance`: the graph refuses
-    it, naming its first entry, also through `dataclasses.replace`."""
+    """Every edge is stored as 1, and any other stored value is refused,
+    naming its first entry, also through `dataclasses.replace`.  An
+    explicit zero is an edge to `nnz` and `write_graph` but not to the
+    precision, the loss or `graph_distance`; a 2, which a repeated (u, v)
+    sums to, is one edge to them but a coupling of 2 theta to the
+    precision."""
     import dataclasses
 
     g = gg.generate(gg.FamilyParams(p=200, eta=1, d=1, beta=1.05, theta=0.1,
                                     seed=0))
     u, v = g.edges()[0]
-    B = g.adjacency.copy()
-    B[u, v] = B[v, u] = 0
-    assert B.nnz == g.adjacency.nnz
-    with pytest.raises(ValueError, match=rf"explicit zero at \({u}, {v}\)"):
-        dataclasses.replace(g, adjacency=B)
+    for value in (2, 0):
+        B = g.adjacency.copy()
+        B[u, v] = B[v, u] = value
+        assert B.nnz == g.adjacency.nnz
+        with pytest.raises(ValueError, match=rf"stores {value} at \({u}, {v}\)"):
+            dataclasses.replace(g, adjacency=B)
     B.eliminate_zeros()
     assert dataclasses.replace(g, adjacency=B).edge_count() == g.edge_count() - 1
 

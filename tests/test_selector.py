@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from scipy.spatial import cKDTree
 from geoggm import gmrf, harness
 from geoggm import graphgen as gg
 from geoggm import selector as sel
-from geoggm.geometry import PatternTemplate, Torus, quantize
+from geoggm.geometry import CollisionError, PatternTemplate, Torus, quantize
 
 import oracles
 import plantcfg
@@ -555,7 +554,7 @@ def test_pooled_alignment_rotation_consistency():
         [1, 0, 1, 0],
     ], dtype=np.int8))
     model = gmrf.assemble_precision(cycle, 0.2, 2)
-    theta_f = model.covariance()
+    theta_f = model.covariance_submatrix(np.arange(model.p))
     perm = [3, 0, 1, 2]  # slot map of the quarter-turn occurrence
     rotated = theta_f[np.ix_(perm, perm)]
     assert np.allclose(theta_f, rotated)
@@ -584,7 +583,7 @@ def test_detect_edges_exact_covariance_recovers_path():
         sp.diags([np.ones(2), np.ones(2)], [1, -1], format="csr").astype(np.int8),
         0.2, 2,
     )
-    theta_f = model.covariance()
+    theta_f = model.covariance_submatrix(np.arange(model.p))
     adj, j_hat = sel.detect_edges(theta_f, [0, 1, 2], threshold=0.1)
     assert adj[0, 1] and adj[1, 2] and not adj[0, 2]
     assert np.abs(j_hat - model.J.toarray()).max() < 1e-12
@@ -801,7 +800,6 @@ def scan_inputs(draw):
     """A random occupancy of an m x m unit lattice, sparse or dense, with
     m up to 220 (several bands), r in 2..8, k_cap below m, or at or above
     it for m <= 40 (a k_cap of m makes one band: larger m adds only time),
-    a band size: the default, or small ones that force bands of K rows,
     and a settled mask over none, about half, most or all but one of the
     vertices."""
     m = draw(st.one_of(st.integers(1, 40), st.integers(100, 220)))
@@ -814,21 +812,19 @@ def scan_inputs(draw):
     if m <= 40:
         k_caps += [st.just(m), st.integers(m + 1, m + 5)]
     k_cap = draw(st.one_of(*k_caps))
-    band_cells = draw(st.sampled_from([sel.BAND_CELLS, 1, 97]))
     density = draw(st.sampled_from([0.0, 0.5, 0.9, None]))
     settled = (_all_but_one(len(nodes), rng) if density is None
                else rng.random(len(nodes)) < density)
-    return lattice, draw(st.integers(2, 8)), k_cap, band_cells, settled
+    return lattice, draw(st.integers(2, 8)), k_cap, settled
 
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(scan_inputs())
 def test_candidate_squares_match_table_scan(inputs):
     """The banded scan yields the full-table scan's windows that hold an
-    unsettled vertex, in order, whatever the band height."""
-    lattice, r, k_cap, band_cells, settled = inputs
-    with mock.patch.object(sel, "BAND_CELLS", band_cells):
-        got = list(sel._candidate_squares(lattice, r, k_cap, settled))
+    unsettled vertex, in order."""
+    lattice, r, k_cap, settled = inputs
+    got = list(sel._candidate_squares(lattice, r, k_cap, settled))
     assert got == [w for w in oracles.table_candidate_squares(lattice, r, k_cap)
                    if not settled[w[3]].all()]
 
@@ -839,11 +835,10 @@ def test_middle_slots_never_empty(inputs):
     """The core of every scanned window is non-empty: `_middle_slots` grows
     the middle up to the whole square, which holds the window, so
     `run_selection` needs no branch for an empty core."""
-    lattice, r, k_cap, band_cells, settled = inputs
-    with mock.patch.object(sel, "BAND_CELLS", band_cells):
-        for i, j, k, ids in sel._candidate_squares(
-                lattice, r, k_cap, np.zeros_like(settled)):
-            assert sel._middle_slots(lattice, ids, (i, j, k))
+    lattice, r, k_cap, settled = inputs
+    for i, j, k, ids in sel._candidate_squares(
+            lattice, r, k_cap, np.zeros_like(settled)):
+        assert sel._middle_slots(lattice, ids, (i, j, k))
 
 
 def test_candidate_squares_match_table_scan_across_bands_and_seam():
@@ -858,29 +853,26 @@ def test_candidate_squares_match_table_scan_across_bands_and_seam():
         got = list(sel._candidate_squares(lattice, r, k_cap,
                                           np.zeros(occupied.sum(), bool)))
         assert got == list(oracles.table_candidate_squares(lattice, r, k_cap))
-        band = max(min(k_cap, m), math.ceil(sel.BAND_CELLS / m))
+        band = min(k_cap, m)
         bands = max(bands, len({i // band for i, *_ in got}))
         wrapped += sum(i + k > m or j + k > m for i, j, k, _ in got)
     assert bands > 1 and wrapped > 0
 
 
-def test_candidate_squares_ignore_rows_above_the_band(monkeypatch):
-    """Vertex 0 sits on the last row of the first band, above and left of
-    anchor (3, 1) in the next band: that band counts its windows from its
-    own rows alone, and they are exact."""
+def test_candidate_squares_ignore_rows_above_the_band():
+    """Bands are K = 3 rows tall.  Vertex 0 sits on the last row of the
+    first band, above and left of anchor (3, 1) in the next band: that
+    band counts its windows from its own rows alone, and they are exact."""
     nodes = [(2, 0), (3, 1), (3, 2), (7, 5), (8, 9)]
     lattice, _ = _lattice_from_nodes(nodes, 12)
-    monkeypatch.setattr(sel, "BAND_CELLS", 1)  # bands of K = 3 rows
     got = list(sel._candidate_squares(lattice, 2, 3, np.zeros(5, bool)))
     assert (3, 1, 2, [1, 2]) in got
     assert got == list(oracles.table_candidate_squares(lattice, 2, 3))
 
 
-@pytest.mark.parametrize("band_cells", [sel.BAND_CELLS, 1])
-def test_candidate_squares_read_the_live_mask(monkeypatch, band_cells):
+def test_candidate_squares_read_the_live_mask():
     """Vertices settled between yields drop the later windows that hold
     no other vertex, also within the band already built."""
-    monkeypatch.setattr(sel, "BAND_CELLS", band_cells)
     for lat, nodes, m, r in _random_lattices(7, 6):
         want, settled = [], np.zeros(len(nodes), bool)
         for i, j, k, ids in oracles.table_candidate_squares(lat, r, m):
@@ -1069,10 +1061,18 @@ def test_run_selection_report_json_schema():
 
 
 def test_run_selection_requires_samples_or_exact():
+    """Without a covariance source, or with a model or samples of another
+    dimension than the graph, the run is refused."""
     graph, eps, _ = plantcfg.grid_plant_graph(p=100, theta=0.11, seed=15)
     params = plantcfg.grid_plant_selector_params(0.11, eps)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need samples"):
         sel.run_selection(graph, params)
+    other = gmrf.assemble_precision(sp.csr_matrix((99, 99), dtype=np.int8),
+                                    0.11, graph.params.d)
+    with pytest.raises(ValueError, match="model dimension"):
+        sel.run_selection(graph, params, model=other, exact_cov=True)
+    with pytest.raises(ValueError, match="sample dimension"):
+        sel.run_selection(graph, params, samples=other.sample(2, seed=0))
 
 
 def test_run_selection_eps_collision_backoff():
@@ -1093,6 +1093,27 @@ def test_run_selection_eps_collision_backoff():
         assert report.zero_one_loss == 1
     else:
         assert report.zero_one_loss == 0
+
+
+def test_run_selection_gives_up_on_coincident_vertices(monkeypatch):
+    """Two vertices at one point collide at every pitch: after
+    MAX_HALVINGS halvings the run raises the collision, naming them."""
+    graph = _unplanted_sparse()
+    points = graph.points.copy()
+    points[1] = points[0]
+    graph = dataclasses.replace(graph, points=points, adjacency=gg.build_edges(
+        points, graph.params.d, graph.params.beta, graph.torus))
+    pitches, quantize_at = [], sel.quantize
+
+    def spy_quantize(graph, eps):
+        pitches.append(eps)
+        return quantize_at(graph, eps)
+
+    monkeypatch.setattr(sel, "quantize", spy_quantize)
+    params = sel.SelectorParams(r=8, eps=0.3, w=1.0, theta=0.1)
+    with pytest.raises(CollisionError, match="vertices 0 and 1 "):
+        sel.run_selection(graph, params, exact_cov=True)
+    assert len(pitches) == sel.MAX_HALVINGS + 1 == 9
 
 
 def _assert_same_reports(new, old):
@@ -1137,6 +1158,15 @@ def _unplanted(r, samples):
         model = gmrf.assemble_precision(graph.adjacency, 0.1, 1)
         return graph, params, {"samples": model.sample(50, seed=0)}
     return build
+
+
+def _min_zeta():
+    """The zeta screen drops detections: without it this run uses zetas
+    1, -1, -1 and leaves 89 vertices undecided, not 91."""
+    graph = gg.generate(gg.FamilyParams(p=100, eta=1, d=2, beta=1.6,
+                                        theta=0.1, seed=0))
+    params = sel.SelectorParams(r=12, eps=0.1, w=0.2, theta=0.1, min_zeta=1)
+    return graph, params, {"exact_cov": True}
 
 
 def _hopeless_background():
@@ -1197,15 +1227,50 @@ def _check_copy_stages(monkeypatch):
 @pytest.mark.parametrize("case", [
     _grid_exact, _grid_samples, _rotated_exact, _collision_backoff,
     _unplanted(5, True), _unplanted(8, False), _unplanted(12, False),
-    _hopeless_background, _all_hopeless,
+    _min_zeta, _hopeless_background, _all_hopeless,
 ], ids=["grid_exact", "grid_samples", "rotated_exact", "collision_backoff",
-        "unplanted_r5_samples", "unplanted_r8", "unplanted_r12",
+        "unplanted_r5_samples", "unplanted_r8", "unplanted_r12", "min_zeta",
         "hopeless_background", "all_hopeless"])
 def test_one_pass_matches_restart_loop(monkeypatch, case):
     graph, params, kwargs = case()
     old = oracles.restart_selection(graph, params, **kwargs)
     _check_copy_stages(monkeypatch)
     _assert_same_reports(sel.run_selection(graph, params, **kwargs), old)
+
+
+def test_one_pass_matches_restart_loop_with_skipped_detections(monkeypatch):
+    """Two samples leave most pooled covariances singular: the run skips
+    437 detections in 61 iterations and decides what the restart loop
+    decides.  Only the copy counts differ, since the restart loop searches
+    a skipped window again on every rescan; they are checked against the
+    copy searches the run makes."""
+    graph = _unplanted_sparse()
+    model = gmrf.assemble_precision(graph.adjacency, 0.1, 1)
+    params = sel.SelectorParams(r=8, eps=0.3, w=1.0, theta=0.1)
+    samples = model.sample(2, seed=0)
+    old = oracles.restart_selection(graph, params, samples=samples)
+    find, detect = sel.find_copies, sel.detect_edges
+    searched, skipped = [], []
+
+    def spy_find(*args, **kwargs):
+        searched.append(find(*args, **kwargs))
+        return searched[-1]
+
+    def spy_detect(*args):
+        try:
+            return detect(*args)
+        except sel.DetectionSkipped:
+            skipped.append(args)
+            raise
+
+    monkeypatch.setattr(sel, "find_copies", spy_find)
+    monkeypatch.setattr(sel, "detect_edges", spy_detect)
+    new = sel.run_selection(graph, params, samples=samples)
+    assert len(skipped) == 437 and new.iterations == 61
+    assert new.copies_found == sum(len(c.matches) for c in searched)
+    assert new.copies_used == sum(len(c.separated) for c in searched)
+    _assert_same_reports(dataclasses.replace(
+        new, copies_found=old.copies_found, copies_used=old.copies_used), old)
 
 
 @pytest.mark.parametrize("case, offered", [
