@@ -870,20 +870,26 @@ def test_candidate_squares_ignore_rows_above_the_band():
     assert got == list(oracles.table_candidate_squares(lattice, 2, 3))
 
 
-def test_candidate_squares_read_the_live_mask():
+@pytest.mark.parametrize("seed", [1, 32768])
+def test_candidate_squares_read_the_live_mask(seed):
     """Vertices settled between yields drop the later windows that hold
-    no other vertex, also within the band already built."""
-    for lat, nodes, m, r in _random_lattices(7, 6):
-        want, settled = [], np.zeros(len(nodes), bool)
-        for i, j, k, ids in oracles.table_candidate_squares(lat, r, m):
-            if not settled[ids].all():
-                want.append((i, j, k, ids))
+    no other vertex, also within the band already built: with k_cap = m
+    (one band) and with a smaller cap (several bands of K rows)."""
+    bands = 0
+    for lat, nodes, m, r in _random_lattices(seed, 6):
+        for k_cap in (m, m // 3):
+            want, settled = [], np.zeros(len(nodes), bool)
+            for i, j, k, ids in oracles.table_candidate_squares(lat, r, k_cap):
+                if not settled[ids].all():
+                    want.append((i, j, k, ids))
+                    settled[ids[::2]] = True
+            got, settled = [], np.zeros(len(nodes), bool)
+            for i, j, k, ids in sel._candidate_squares(lat, r, k_cap, settled):
+                got.append((i, j, k, ids))
                 settled[ids[::2]] = True
-        got, settled = [], np.zeros(len(nodes), bool)
-        for i, j, k, ids in sel._candidate_squares(lat, r, m, settled):
-            got.append((i, j, k, ids))
-            settled[ids[::2]] = True
-        assert got == want and len(want) > 1
+            assert got == want and (len(want) > 1 or k_cap < m)
+            bands = max(bands, len({i // k_cap for i, *_ in got}))
+    assert bands > 1  # the live mask also reaches bands not yet built
 
 
 def test_candidate_squares_first_window_memory():
