@@ -35,7 +35,6 @@ from .gmrf import (
     cdp_check,
     graph_distance,
     hellinger,
-    local_precision_estimate,
     read_samples,
     schur_conditional_precision,
     stationarity_gamma,
@@ -64,9 +63,8 @@ __all__ = [
     "read_graph", "write_graph",
     "BlockIndex", "CouplingTooLarge", "NotPositiveDefinite", "PrecisionModel",
     "SampleMatrix", "assemble_precision", "cdp_check", "graph_distance",
-    "hellinger", "local_precision_estimate", "read_samples",
-    "schur_conditional_precision", "stationarity_gamma", "sym_kl",
-    "write_samples",
+    "hellinger", "read_samples", "schur_conditional_precision",
+    "stationarity_gamma", "sym_kl", "write_samples",
     "CopySet", "DetectionSkipped", "SelectionReport", "SelectorParams",
     "default_params", "detect_edges", "find_copies", "greedy_separated",
     "pooled_scm", "run_selection", "zero_one_loss",

@@ -156,7 +156,8 @@ def main(argv=None) -> int:
     source = p_sel.add_mutually_exclusive_group(required=True)
     source.add_argument("--samples", help="snapshot CSV")
     source.add_argument("--exact-cov", action="store_true",
-                        help="use the population covariance instead of samples")
+                        help="use the population covariance of the graph's own model "
+                        "instead of samples")
     p_sel.add_argument("--r", type=int)
     p_sel.add_argument("--eps", type=float)
     p_sel.add_argument("--w", type=float)

@@ -207,10 +207,10 @@ class PatternTemplate:
 
     `offsets` is an ordered tuple of (row, col) cell offsets; the order
     defines the slot labelling that occurrence vertex lists follow.
-    Offsets are normalized so the bounding box touches (0, 0).
+    Offsets are normalized so the bounding box touches (0, 0).  `k`, the
+    largest offset plus one, is derived from them.
     """
 
-    k: int
     offsets: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
@@ -220,8 +220,6 @@ class PatternTemplate:
         cols = [o[1] for o in self.offsets]
         if min(rows) != 0 or min(cols) != 0:
             raise ValueError("offsets must be normalized to touch (0, 0)")
-        if max(max(rows), max(cols)) >= self.k:
-            raise ValueError("offsets exceed the k x k bounding square")
         if len(set(self.offsets)) != len(self.offsets):
             raise ValueError("duplicate offsets")
 
@@ -230,9 +228,11 @@ class PatternTemplate:
         offs = [(int(a), int(b)) for a, b in offsets]
         r0 = min(a for a, _ in offs)
         c0 = min(b for _, b in offs)
-        offs = tuple((a - r0, b - c0) for a, b in offs)
-        k = max(max(a for a, _ in offs), max(b for _, b in offs)) + 1
-        return cls(k=k, offsets=offs)
+        return cls(tuple((a - r0, b - c0) for a, b in offs))
+
+    @property
+    def k(self) -> int:
+        return max(map(max, self.offsets)) + 1
 
     @property
     def size(self) -> int:

@@ -28,21 +28,24 @@ class NotPositiveDefinite(ValueError):
 
 @dataclass
 class SampleMatrix:
-    """n i.i.d. centered snapshots as rows of an n x p matrix."""
+    """n i.i.d. centered snapshots as rows of an n x p matrix; n and p
+    are read off `data`."""
 
-    n: int
     data: np.ndarray
     seed: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one sample")
-        if self.data.shape[0] != self.n:
-            raise ValueError("row count disagrees with n")
+        if self.data.ndim != 2 or len(self.data) < 1:
+            raise ValueError("samples must be a 2-D array with at least one row, "
+                             f"got shape {self.data.shape}")
         bad = np.argwhere(~np.isfinite(self.data))
         if len(bad):
             raise ValueError("non-finite sample at (row, column) "
                              f"{tuple(bad[0].tolist())}")
+
+    @property
+    def n(self) -> int:
+        return len(self.data)
 
     @property
     def p(self) -> int:
@@ -65,11 +68,6 @@ class BlockIndex:
     @classmethod
     def of(cls, H, F) -> "BlockIndex":
         return cls(tuple(int(v) for v in H), tuple(int(v) for v in F))
-
-    def h_positions(self) -> np.ndarray:
-        """Positions of H inside the ordering of F."""
-        pos = {v: i for i, v in enumerate(self.F)}
-        return np.array([pos[v] for v in self.H], dtype=int)
 
 
 class PrecisionModel:
@@ -132,7 +130,7 @@ class PrecisionModel:
         y = z / np.sqrt(self._dvec)[:, None]
         xp = spsolve_triangular(self._lu.L.T, y, lower=False, unit_diagonal=True)
         x = xp[self._lu.perm_c]
-        return SampleMatrix(n=n, data=np.ascontiguousarray(x.T), seed=seed)
+        return SampleMatrix(data=np.ascontiguousarray(x.T), seed=seed)
 
 
 def assemble_precision(E: sp.spmatrix, theta: float, d: int) -> PrecisionModel:
@@ -162,20 +160,6 @@ def schur_conditional_precision(J, keep) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("eliminated block is singular") from exc
     return JK - JKV @ sla.cho_solve(c, JKV.T)
-
-
-def local_precision_estimate(theta_F: np.ndarray, block: BlockIndex) -> np.ndarray:
-    """Approximate inverse of the H-submatrix of the full precision.
-
-    Computes Theta_H - Theta_{H,R} Theta_R^{-1} Theta_{H,R}^T with
-    R = F \\ H, from the covariance over F alone.  Exact when F carries
-    everything that influences H; otherwise the error decays like
-    (theta*d)^z with z the walk length needed to leave F.
-    """
-    T = np.asarray(theta_F, dtype=float)
-    if T.shape[0] != len(block.F):
-        raise ValueError("covariance dimension disagrees with block.F")
-    return schur_conditional_precision(T, block.h_positions())
 
 
 def _chol_logdet(A: np.ndarray, what: str) -> float:
@@ -283,12 +267,16 @@ def cdp_check(model: PrecisionModel, block: BlockIndex, zeta: int):
 
 @dataclass
 class GammaEstimate:
-    """Empirical stationarity ratio: worst Hellinger-to-similarity quotient."""
+    """Empirical stationarity ratio: worst Hellinger-to-similarity quotient;
+    `exact_copies` (derived) says every pair sampled was an exact copy."""
 
     gamma: float
-    exact_copies: bool
     pairs_evaluated: int
     pairs_skipped: int
+
+    @property
+    def exact_copies(self) -> bool:
+        return self.pairs_evaluated == 0
 
 
 def stationarity_gamma(
@@ -333,12 +321,7 @@ def stationarity_gamma(
         used += 1
     if used == 0 and skipped == 0:
         raise ValueError("no valid copy pairs")
-    return GammaEstimate(
-        gamma=best,
-        exact_copies=(used == 0),
-        pairs_evaluated=used,
-        pairs_skipped=skipped,
-    )
+    return GammaEstimate(gamma=best, pairs_evaluated=used, pairs_skipped=skipped)
 
 
 def write_samples(samples: SampleMatrix, path) -> None:
@@ -355,4 +338,4 @@ def read_samples(path) -> SampleMatrix:
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.shape != (n, p):
         raise ValueError(f"sample block shape {data.shape} disagrees with header")
-    return SampleMatrix(n=n, data=data, seed=seed)
+    return SampleMatrix(data=data, seed=seed)

@@ -107,8 +107,10 @@ class PlantSpec:
 
 @dataclass
 class GeoGraph:
-    """A geometric graph: points on a torus plus sparse symmetric adjacency,
-    every edge stored as 1 (any other stored value is refused).
+    """A geometric graph: params.p points on `torus`, the torus of side
+    params.s (derived, not stored), plus a sparse symmetric adjacency,
+    every edge stored as 1.  Points not shaped (p, 2), an adjacency not
+    shaped (p, p) and any stored value other than 1 are refused.
 
     `plants`, when present, lists the vertex ids of each planted copy in
     template slot order (slot t of every copy is the image of template
@@ -120,12 +122,18 @@ class GeoGraph:
     params: FamilyParams
     points: np.ndarray
     adjacency: csr_matrix
-    torus: Torus
     plants: tuple[tuple[int, ...], ...] | None = None
     _beta_pairs: np.ndarray | None = field(
         default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        p = self.params.p
+        if self.points.shape != (p, 2):
+            raise ValueError(f"points have shape {self.points.shape}, "
+                             f"not ({p}, 2)")
+        if self.adjacency.shape != (p, p):
+            raise ValueError(f"adjacency has shape {self.adjacency.shape}, "
+                             f"not ({p}, {p})")
         coo = self.adjacency.tocoo()
         bad = coo.data != 1
         if bad.any():
@@ -135,6 +143,10 @@ class GeoGraph:
     @property
     def p(self) -> int:
         return len(self.points)
+
+    @property
+    def torus(self) -> Torus:
+        return Torus(self.params.s)
 
     def beta_pairs(self) -> np.ndarray:
         """`torus.close_pairs(points, beta)`: the (N, 2) index pairs i < j
@@ -302,7 +314,6 @@ def generate(params: FamilyParams, plant: PlantSpec | None = None) -> GeoGraph:
         params=params,
         points=points,
         adjacency=build_edges(points, params.d, params.beta, torus, pairs),
-        torus=torus,
         plants=plants,
     )
     graph._beta_pairs = pairs
@@ -383,6 +394,4 @@ def read_graph(path) -> GeoGraph:
         (np.ones(len(rows), dtype=np.int8), (rows, cols)),
         shape=(params.p, params.p),
     )
-    return GeoGraph(
-        params=params, points=points, adjacency=adjacency, torus=Torus(params.s)
-    )
+    return GeoGraph(params=params, points=points, adjacency=adjacency)

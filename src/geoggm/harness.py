@@ -59,6 +59,10 @@ class ExperimentConfig:
         for name, values in (("eta", self.eta), ("beta", self.beta)):
             if len(values) > 1:
                 raise ValueError(f"{name} takes one value, got {values}")
+        if self.plant_count is not None and self.plant_count < 1:
+            raise ValueError(f"plant_count must be at least 1, got {self.plant_count}")
+        if self.plant_frac is not None and not 0 < self.plant_frac <= 1:
+            raise ValueError(f"plant_frac must lie in (0, 1], got {self.plant_frac}")
         for d_val, theta in itertools.product(self.d, self.theta):
             if d_val * theta >= 0.5:
                 raise ValueError(

@@ -99,13 +99,12 @@ def default_params(p: int, theta: float, **overrides) -> SelectorParams:
 
 @dataclass
 class CopySet:
-    """A pattern and all its matched occurrences, one row each (the
-    original first when known): `matches` holds the (N, size) vertex ids
-    in template slot order, `centers` the (N, 2) occurrence centers on
-    `torus`, and `separated` the indices of the pooling subset chosen for
-    separation."""
+    """All matched occurrences of a pattern, one row each (the original
+    first when known): `matches` holds the (N, size) vertex ids in
+    template slot order, so the pattern size is its column count,
+    `centers` the (N, 2) occurrence centers on `torus`, and `separated`
+    the indices of the pooling subset chosen for separation."""
 
-    template: PatternTemplate
     matches: np.ndarray
     centers: np.ndarray
     torus: Torus
@@ -162,8 +161,7 @@ def find_copies(lattice: Lattice, template: PatternTemplate, graph,
     torus = lattice.torus
     local = torus.delta(pts[:, :1], pts)
     centers = torus.wrap(pts[:, 0] + local.mean(axis=1))
-    return CopySet(template=template, matches=matches, centers=centers,
-                   torus=torus)
+    return CopySet(matches=matches, centers=centers, torus=torus)
 
 
 def greedy_separated(copies: CopySet, w: float) -> CopySet:
@@ -191,7 +189,7 @@ def pooled_scm(samples: SampleMatrix, copies: CopySet) -> np.ndarray:
     if not copies.separated:
         raise ValueError("pooling subset is empty")
     X = samples.data
-    size = copies.template.size
+    size = copies.matches.shape[1]
     out = np.zeros((size, size))
     for ids in copies.matches[copies.separated]:
         sub = X[:, ids]
@@ -411,13 +409,14 @@ def run_selection(
     core detection with transport to all copies, and loss metrics.
 
     With `exact_cov` the population covariance of `model` (assembled from
-    the graph if omitted) replaces the pooled sample covariance; otherwise
-    `samples` drawn from the graph's model are pooled.  A vertex is marked
-    decided only when all its potential neighbors (the beta-ball around
-    it) were examined jointly with it, so every edge of a decided vertex
-    has been explicitly ruled in or out.  Conflicting edge decisions keep
-    the larger detection margin; on equal margins the earliest decision
-    stays.  `conflicting_pairs` counts the pairs with disagreeing decisions.
+    the graph and its own theta if omitted) replaces the pooled sample
+    covariance; otherwise `samples` drawn from the graph's model are
+    pooled.  A vertex is marked decided only when all its potential
+    neighbors (the beta-ball around it) were examined jointly with it, so
+    every edge of a decided vertex has been explicitly ruled in or out.
+    Conflicting edge decisions keep the larger detection margin; on equal
+    margins the earliest decision stays.  `conflicting_pairs` counts the
+    pairs with disagreeing decisions.
 
     A vertex whose ball holds more than r vertices can never be decided,
     so it counts as settled from the start, and any other vertex once it
@@ -430,7 +429,8 @@ def run_selection(
     beta = graph.params.beta
     if exact_cov:
         if model is None:
-            model = assemble_precision(graph.adjacency, params.theta, graph.params.d)
+            model = assemble_precision(graph.adjacency, graph.params.theta,
+                                       graph.params.d)
         elif model.p != p:
             raise ValueError("model dimension disagrees with the graph")
     elif samples is None:

@@ -537,12 +537,14 @@ def restart_selection(graph, params, samples=None, model=None,
     offering only windows that hold an undecided vertex, after every
     iteration that marks vertices; stop when a full scan marks none.
     Returns the report with `runtime_ms` = 0.  The rescans meet the same
-    windows again, so each window's core and zeta are derived once, and
-    each vertex's beta-ball is queried once."""
+    windows again, so each window's core and zeta are derived once, a
+    window whose detection was skipped is skipped again without a second
+    copy search (a skip depends only on the window, the lattice and the
+    samples), and each vertex's beta-ball is queried once."""
     p = graph.p
     beta = graph.params.beta
     if exact_cov and model is None:
-        model = assemble_precision(graph.adjacency, params.theta,
+        model = assemble_precision(graph.adjacency, graph.params.theta,
                                    graph.params.d)
     lattice = sel._quantize_with_backoff(graph, params.eps)
     k_cap = params.k_cap or sel.default_k_cap(
@@ -554,6 +556,7 @@ def restart_selection(graph, params, samples=None, model=None,
         return all(u in img_set for u in balls[v])
 
     cores = {}  # (i, j, k) -> (h_slots, zeta): pure in the window
+    skipped = set()  # (i, j, k) of the windows whose detection was skipped
 
     def core(i, j, k, ids):
         if math.isinf(graph_distance(graph.adjacency, ids, ids)):
@@ -580,7 +583,7 @@ def restart_selection(graph, params, samples=None, model=None,
             if (i, j, k) not in cores:
                 cores[i, j, k] = core(i, j, k, ids)
             h_slots, zeta = cores[i, j, k]
-            if not h_slots:
+            if not h_slots or (i, j, k) in skipped:
                 continue
             h_ids = [ids[t] for t in h_slots]
             h_set = set(h_ids)
@@ -601,11 +604,13 @@ def restart_selection(graph, params, samples=None, model=None,
                 try:
                     S = sel.pooled_scm(samples, copies)
                 except ValueError:
+                    skipped.add((i, j, k))
                     continue
             try:
                 adj_h, j_hat = sel.detect_edges(
                     S, h_slots, params.detect_threshold)
             except sel.DetectionSkipped:
+                skipped.add((i, j, k))
                 continue
             iteration_marked = False
             for occ_idx in copies.separated:

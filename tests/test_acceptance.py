@@ -137,8 +137,10 @@ def test_criterion_03_local_precision_decay():
         F = list(range(28 - rad, 32 + rad))
         bfs = gmrf.graph_distance(E, H, F)
         zeta = bfs - 2
-        block = gmrf.BlockIndex.of(H=H, F=F)
-        est = gmrf.local_precision_estimate(theta_full[np.ix_(F, F)], block)
+        # the Schur complement detect_edges takes, here of the exact
+        # covariance over F, at the core's positions in F
+        est = gmrf.schur_conditional_precision(
+            theta_full[np.ix_(F, F)], [F.index(h) for h in H])
         direct_err = np.linalg.norm(est - exact_core_inv, 2)
         if direct_err > (theta * d) ** (zeta + 2):
             envelope_ok = False

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -324,9 +325,10 @@ def test_pattern_template_normalization():
     t = geo.PatternTemplate.from_offsets([(2, 3), (3, 4), (2, 5)])
     assert min(a for a, _ in t.offsets) == 0
     assert min(b for _, b in t.offsets) == 0
-    assert t.k == 3
+    assert t.k == 3  # derived from the offsets, not stored
+    assert [f.name for f in dataclasses.fields(t)] == ["offsets"]
     with pytest.raises(ValueError):
-        geo.PatternTemplate(k=2, offsets=((1, 1),))
+        geo.PatternTemplate(offsets=((1, 1),))
 
 
 def test_pattern_template_interior_cells():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -172,8 +173,7 @@ def test_local_precision_full_graph_exact():
     inverse of the core's precision submatrix."""
     m = gmrf.assemble_precision(path_adjacency(12), 0.2, 2)
     theta_full = m.covariance_submatrix(np.arange(m.p))
-    block = gmrf.BlockIndex.of(H=[4, 5, 6], F=list(range(12)))
-    est = gmrf.local_precision_estimate(theta_full, block)
+    est = gmrf.schur_conditional_precision(theta_full, [4, 5, 6])
     exact = np.linalg.inv(m.J[np.ix_([4, 5, 6], [4, 5, 6])].toarray())
     assert np.abs(est - exact).max() < 1e-12
 
@@ -182,8 +182,8 @@ def test_local_precision_degenerate_core():
     m = gmrf.assemble_precision(path_adjacency(6), 0.2, 2)
     F = [1, 2, 3]
     theta_F = m.covariance_submatrix(F)
-    block = gmrf.BlockIndex.of(H=F, F=F)
-    assert np.allclose(gmrf.local_precision_estimate(theta_F, block), theta_F)
+    assert np.allclose(gmrf.schur_conditional_precision(theta_F, [0, 1, 2]),
+                       theta_F)
 
 
 def test_local_precision_path_sweep_under_envelope():
@@ -197,10 +197,8 @@ def test_local_precision_path_sweep_under_envelope():
     prev = math.inf
     for rad in (3, 5, 8, 10):
         F = list(range(18 - rad, 22 + rad))
-        block = gmrf.BlockIndex.of(H=H, F=F)
-        est = gmrf.local_precision_estimate(
-            theta_full[np.ix_(F, F)], block
-        )
+        est = gmrf.schur_conditional_precision(
+            theta_full[np.ix_(F, F)], [F.index(h) for h in H])
         err = np.linalg.norm(est - exact, 2)
         bfs = gmrf.graph_distance(m.E, H, F)
         zeta = bfs - 2
@@ -468,7 +466,7 @@ def _planted_graph(seed, jitter=0.0, rotate=True):
         pts[planted] += noise_rng.uniform(-jitter, jitter, (len(planted), 2))
         adjacency = gg.build_edges(pts, prm.d, prm.beta, g.torus)
         g = gg.GeoGraph(params=prm, points=pts, adjacency=adjacency,
-                        torus=g.torus, plants=g.plants)
+                        plants=g.plants)
     return g
 
 
@@ -476,7 +474,8 @@ def test_stationarity_gamma_exact_copies_flagged():
     g = _planted_graph(seed=11)
     m = gmrf.assemble_precision(g.adjacency, 0.15, 2)
     est = gmrf.stationarity_gamma(m, g, trials=10)
-    assert est.exact_copies
+    assert est.exact_copies and est.pairs_evaluated == 0
+    assert "exact_copies" not in {f.name for f in dataclasses.fields(est)}
     assert est.gamma == 0.0
     assert est.pairs_skipped > 0
 
@@ -536,4 +535,16 @@ def test_samples_reject_non_finite_entries(tmp_path):
     data = np.zeros((2, 3))
     data[0, 2] = np.inf
     with pytest.raises(ValueError, match=r"\(0, 2\)"):
-        gmrf.SampleMatrix(n=2, data=data, seed=0)
+        gmrf.SampleMatrix(data=data, seed=0)
+
+
+def test_samples_read_n_and_p_off_the_data():
+    """n and p are the row and column counts of `data`, not fields; data
+    that is not 2-D with at least one row is refused (a 1-D array was
+    once accepted with n = 3, then failed on `.p`)."""
+    s = gmrf.SampleMatrix(data=np.zeros((3, 5)), seed=0)
+    assert (s.n, s.p) == (3, 5)
+    assert [f.name for f in dataclasses.fields(s)] == ["data", "seed"]
+    for shape in ((3,), (0, 5), (1, 2, 3)):
+        with pytest.raises(ValueError, match=r"2-D array with at least one row"):
+            gmrf.SampleMatrix(data=np.zeros(shape), seed=0)

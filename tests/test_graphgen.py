@@ -137,7 +137,7 @@ def test_edges_sorted_upper_triangle():
                       indptr), shape=(100, 100))
     assert not adj.has_sorted_indices
     g = gg.GeoGraph(params=small_params(), points=np.zeros((100, 2)),
-                    adjacency=adj, torus=Torus(10.0))
+                    adjacency=adj)
     assert g.edges() == [(0, 1), (0, 2), (1, 2)]
     assert all(type(x) is int for e in g.edges() for x in e)
     g = gg.generate(small_params(seed=4))
@@ -152,7 +152,10 @@ def test_geograph_refuses_stored_zero():
     explicit zero is an edge to `nnz` and `write_graph` but not to the
     precision, the loss or `graph_distance`; a 2, which a repeated (u, v)
     sums to, is one edge to them but a coupling of 2 theta to the
-    precision."""
+    precision.  Points not shaped (p, 2) and an adjacency not shaped
+    (p, p) are refused too: 150 points for p = 200 would be written as a
+    file `read_graph` refuses, and a 150 x 150 adjacency on 200 points
+    would run until the loss."""
     import dataclasses
 
     g = gg.generate(gg.FamilyParams(p=200, eta=1, d=1, beta=1.05, theta=0.1,
@@ -166,6 +169,12 @@ def test_geograph_refuses_stored_zero():
             dataclasses.replace(g, adjacency=B)
     B.eliminate_zeros()
     assert dataclasses.replace(g, adjacency=B).edge_count() == g.edge_count() - 1
+    for points in (g.points[:150], g.points[:, :1], g.points.ravel()):
+        with pytest.raises(ValueError, match=r"points have shape .* not \(200, 2\)"):
+            dataclasses.replace(g, points=points)
+    with pytest.raises(ValueError,
+                       match=r"adjacency has shape \(150, 150\), not \(200, 200\)"):
+        dataclasses.replace(g, adjacency=g.adjacency[:150, :150])
 
 
 def test_planted_copies_identical_induced_subgraphs():
@@ -215,6 +224,10 @@ def test_planted_rotated_copy_pulls_back():
 
 
 def test_graph_io_round_trip(tmp_path):
+    """The torus is derived from `params`, not stored, so no graph holds
+    one of another side than the file `write_graph` makes of it."""
+    import dataclasses
+
     g = gg.generate(small_params(seed=13))
     path = tmp_path / "graph.txt"
     gg.write_graph(g, path)
@@ -222,6 +235,10 @@ def test_graph_io_round_trip(tmp_path):
     assert np.array_equal(g.points, g2.points)
     assert g.edges() == g2.edges()
     assert g2.params == g.params
+    assert g2.torus == g.torus == Torus(g.params.s)
+    assert "torus" not in {f.name for f in dataclasses.fields(g)}
+    with pytest.raises(TypeError):
+        dataclasses.replace(g, torus=Torus(g.params.s + 1))
 
 
 _VERTICES = ["v 0 0.1 0.2", "v 1 0.5 0.6", "v 2 1.0 1.1", "v 3 1.4 1.5",

@@ -129,6 +129,28 @@ def test_parse_config_rejects_a_list_key_with_no_value(key):
         harness.parse_config(text)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("plant_count = 0", "plant_count must be at least 1, got 0"),
+    ("plant_count = -2", "plant_count must be at least 1, got -2"),
+    ("plant_frac = 0", r"plant_frac must lie in \(0, 1\], got 0.0"),
+    ("plant_frac = -1", r"plant_frac must lie in \(0, 1\], got -1.0"),
+    ("plant_frac = 2", r"plant_frac must lie in \(0, 1\], got 2.0"),
+    ("plant_frac = nan", r"plant_frac must lie in \(0, 1\], got nan"),
+], ids=["count_0", "count_negative", "frac_0", "frac_negative", "frac_2",
+        "frac_nan"])
+def test_parse_config_refuses_a_plant_count_below_one(line, message):
+    """A fraction of 0 or below once planted one copy through
+    `max(1, ...)`, and a count of 0 or a fraction above 1 was found only
+    per grid point, skipping every point; each is refused with its key
+    when the config is read.  A fraction of 1 plants as many as fit."""
+    text = tuned_config().replace("plant_count = 3", line)
+    assert text != tuned_config()
+    with pytest.raises(ValueError, match=message):
+        harness.parse_config(text)
+    assert harness.parse_config(
+        tuned_config().replace("plant_count = 3", "plant_frac = 1")).plant_frac == 1
+
+
 def test_config_rejects_coupling_violation():
     text = tuned_config().replace("theta = 0.2", "theta = 0.25, 0.3")
     with pytest.raises(ValueError):

@@ -292,7 +292,7 @@ def test_copy_stages_match_oracles(inputs):
     assert got.separated == separated
     n = int(rng.integers(1, 6))
     samples = gmrf.SampleMatrix(
-        n=n, data=rng.standard_normal((n, len(cloud.points))), seed=0)
+        data=rng.standard_normal((n, len(cloud.points))), seed=0)
     assert np.array_equal(
         sel.pooled_scm(samples, got),
         oracles.loop_pooled_scm(samples, want, separated, template.size))
@@ -301,8 +301,7 @@ def test_copy_stages_match_oracles(inputs):
 def _single_node_copies(centers, torus):
     """One single-vertex occurrence per center, vertex i at center i."""
     centers = np.asarray(centers, float)
-    return sel.CopySet(template=PatternTemplate.from_offsets([(0, 0)]),
-                       matches=np.arange(len(centers))[:, None],
+    return sel.CopySet(matches=np.arange(len(centers))[:, None],
                        centers=centers, torus=torus)
 
 
@@ -520,11 +519,13 @@ def test_selection_takes_a_coordinate_just_below_zero(tmp_path):
 def test_pooled_scm_single_occurrence_is_plain_scm():
     rng = np.random.default_rng(6)
     X = rng.standard_normal((30, 6))
-    samples = gmrf.SampleMatrix(n=30, data=X, seed=0)
-    tm = PatternTemplate.from_offsets([(0, 0), (0, 1), (1, 0)])
-    copies = sel.CopySet(template=tm, matches=np.array([[1, 3, 5]]),
+    samples = gmrf.SampleMatrix(data=X, seed=0)
+    copies = sel.CopySet(matches=np.array([[1, 3, 5]]),
                          centers=np.zeros((1, 2)), separated=[0],
                          torus=Torus(10.0))
+    # the pattern size is read off `matches`, not stored
+    assert [f.name for f in dataclasses.fields(copies)] == [
+        "matches", "centers", "torus", "separated"]
     got = sel.pooled_scm(samples, copies)
     want = X[:, [1, 3, 5]].T @ X[:, [1, 3, 5]] / 30
     assert np.allclose(got, want)
@@ -533,9 +534,8 @@ def test_pooled_scm_single_occurrence_is_plain_scm():
 def test_pooled_scm_identical_occurrences_average_to_same():
     rng = np.random.default_rng(7)
     X = rng.standard_normal((10, 4))
-    samples = gmrf.SampleMatrix(n=10, data=X, seed=0)
-    tm = PatternTemplate.from_offsets([(0, 0), (0, 1)])
-    copies = sel.CopySet(template=tm, matches=np.array([[0, 2]] * 4),
+    samples = gmrf.SampleMatrix(data=X, seed=0)
+    copies = sel.CopySet(matches=np.array([[0, 2]] * 4),
                          centers=np.zeros((4, 2)), separated=[0, 1, 2, 3],
                          torus=Torus(10.0))
     got = sel.pooled_scm(samples, copies)
@@ -559,13 +559,12 @@ def test_pooled_alignment_rotation_consistency():
     rotated = theta_f[np.ix_(perm, perm)]
     assert np.allclose(theta_f, rotated)
     X = model.sample(50, seed=1).data
-    samples = gmrf.SampleMatrix(n=50, data=X, seed=1)
-    tm = PatternTemplate.from_offsets([(0, 0), (0, 1), (1, 1), (1, 0)])
+    samples = gmrf.SampleMatrix(data=X, seed=1)
     base, turned = [0, 1, 2, 3], [3, 0, 1, 2]
-    both = sel.CopySet(template=tm, matches=np.array([base, turned]),
+    both = sel.CopySet(matches=np.array([base, turned]),
                        centers=np.zeros((2, 2)), separated=[0, 1],
                        torus=Torus(10.0))
-    alone = sel.CopySet(template=tm, matches=np.array([base]),
+    alone = sel.CopySet(matches=np.array([base]),
                         centers=np.zeros((1, 2)), separated=[0],
                         torus=Torus(10.0))
     pooled_both = sel.pooled_scm(samples, both)
@@ -1081,6 +1080,25 @@ def test_run_selection_requires_samples_or_exact():
         sel.run_selection(graph, params, samples=other.sample(2, seed=0))
 
 
+@pytest.mark.parametrize("theta, threshold, edges", [
+    (0.2, 0.15, 0), (0.0, 0.05, 100)], ids=["above", "zero"])
+def test_exact_cov_without_model_uses_the_graph_theta(theta, threshold, edges):
+    """With `exact_cov` and no model, the population model is the graph's
+    own, with `graph.params.theta` (0.11 here), as `geoggm sample` draws
+    from: the selector's theta sets only the threshold.  The restart loop
+    assembles the same model."""
+    graph, eps, _ = plantcfg.grid_plant_graph(p=100, theta=0.11, seed=2)
+    params = sel.SelectorParams(r=20, eps=eps, w=2 * eps, theta=theta,
+                                detect_threshold=threshold)
+    own = gmrf.assemble_precision(graph.adjacency, 0.11, graph.params.d)
+    given = sel.run_selection(graph, params, model=own, exact_cov=True)
+    assert len(given.edges) == edges
+    assert given.zero_one_loss == (edges != graph.edge_count())
+    _assert_same_reports(sel.run_selection(graph, params, exact_cov=True), given)
+    _assert_same_reports(
+        oracles.restart_selection(graph, params, exact_cov=True), given)
+
+
 def test_run_selection_eps_collision_backoff():
     """A too-coarse pitch collides; the loop shrinks it and completes,
     reporting anything it could not decide instead of guessing."""
@@ -1221,7 +1239,7 @@ def _check_copy_stages(monkeypatch):
     def spy_pool(samples, copies):
         out = pool(samples, copies)
         assert np.array_equal(out, oracles.loop_pooled_scm(
-            samples, state["want"], copies.separated, copies.template.size))
+            samples, state["want"], copies.separated, copies.matches.shape[1]))
         return out
 
     monkeypatch.setattr(sel, "_window_template", spy_template)
@@ -1246,10 +1264,11 @@ def test_one_pass_matches_restart_loop(monkeypatch, case):
 
 def test_one_pass_matches_restart_loop_with_skipped_detections(monkeypatch):
     """Two samples leave most pooled covariances singular: the run skips
-    437 detections in 61 iterations and decides what the restart loop
-    decides.  Only the copy counts differ, since the restart loop searches
-    a skipped window again on every rescan; they are checked against the
-    copy searches the run makes."""
+    437 detections in 61 iterations and reports what the restart loop
+    reports, copy counts included, since the restart loop remembers a
+    skipped window instead of searching its copies again on every rescan.
+    The copy counts are also checked against the copy searches the run
+    makes."""
     graph = _unplanted_sparse()
     model = gmrf.assemble_precision(graph.adjacency, 0.1, 1)
     params = sel.SelectorParams(r=8, eps=0.3, w=1.0, theta=0.1)
@@ -1275,8 +1294,7 @@ def test_one_pass_matches_restart_loop_with_skipped_detections(monkeypatch):
     assert len(skipped) == 437 and new.iterations == 61
     assert new.copies_found == sum(len(c.matches) for c in searched)
     assert new.copies_used == sum(len(c.separated) for c in searched)
-    _assert_same_reports(dataclasses.replace(
-        new, copies_found=old.copies_found, copies_used=old.copies_used), old)
+    _assert_same_reports(new, old)
 
 
 @pytest.mark.parametrize("case, offered", [
