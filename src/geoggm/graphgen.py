@@ -109,8 +109,9 @@ class PlantSpec:
 class GeoGraph:
     """A geometric graph: params.p points on `torus`, the torus of side
     params.s (derived, not stored), plus a sparse symmetric adjacency,
-    every edge stored as 1.  Points not shaped (p, 2), an adjacency not
-    shaped (p, p) and any stored value other than 1 are refused.
+    every edge stored as 1, both ways.  Points not shaped (p, 2) or not
+    finite, an adjacency not shaped (p, p), a diagonal entry, any stored
+    value other than 1 and an edge stored one way only are refused.
 
     `plants`, when present, lists the vertex ids of each planted copy in
     template slot order (slot t of every copy is the image of template
@@ -131,14 +132,24 @@ class GeoGraph:
         if self.points.shape != (p, 2):
             raise ValueError(f"points have shape {self.points.shape}, "
                              f"not ({p}, 2)")
+        bad = ~np.isfinite(self.points).all(axis=1)
+        if bad.any():
+            raise ValueError(f"vertex {np.argmax(bad)} has a non-finite coordinate")
         if self.adjacency.shape != (p, p):
             raise ValueError(f"adjacency has shape {self.adjacency.shape}, "
                              f"not ({p}, {p})")
         coo = self.adjacency.tocoo()
+        loops = coo.row[coo.row == coo.col]
+        if len(loops):
+            raise ValueError(f"self-loop on vertex {loops.min()}")
         bad = coo.data != 1
         if bad.any():
             u, v, val = min(zip(coo.row[bad], coo.col[bad], coo.data[bad]))
             raise ValueError(f"adjacency stores {val} at ({u}, {v}), not 1")
+        one_way = (self.adjacency != self.adjacency.T).tocoo()
+        if one_way.nnz:
+            u, v = min(zip(one_way.row, one_way.col))
+            raise ValueError(f"edge ({u}, {v}) is stored one way only")
 
     @property
     def p(self) -> int:
@@ -368,8 +379,6 @@ def read_graph(path) -> GeoGraph:
                     raise ValueError(f"vertex id {v} outside [0, {params.p})")
                 listed[v] += 1
                 points[v] = (float(parts[2]), float(parts[3]))
-                if not np.isfinite(points[v]).all():
-                    raise ValueError(f"vertex {v} has a non-finite coordinate")
             elif parts[0] == "e":
                 if len(parts) != 3:
                     raise ValueError(f"line {lineno}: expected `e u v`, "
@@ -377,8 +386,6 @@ def read_graph(path) -> GeoGraph:
                 u, v = int(parts[1]), int(parts[2])
                 if not (0 <= u < params.p and 0 <= v < params.p):
                     raise ValueError(f"edge ({u}, {v}) outside [0, {params.p})")
-                if u == v:
-                    raise ValueError(f"self-loop on vertex {u}")
                 key = (min(u, v), max(u, v))
                 if key in seen_edges:
                     raise ValueError(f"edge {key} listed twice")

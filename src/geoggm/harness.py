@@ -53,8 +53,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) == []:
+            values = getattr(self, f.name)
+            if values == []:
                 raise ValueError(f"{f.name} needs at least one value")
+            if isinstance(values, list):
+                twice = [v for t, v in enumerate(values) if v in values[:t]]
+                if twice:
+                    raise ValueError(f"{f.name} lists {twice[0]} more than once")
         # summary rows are keyed by (p, n, theta, d): one family per sweep
         for name, values in (("eta", self.eta), ("beta", self.beta)):
             if len(values) > 1:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -48,7 +49,8 @@ class SelectorParams:
     known coupling `theta`, and the decision threshold on recovered
     precision entries (default theta/2).  `min_zeta` optionally rejects
     detections whose certified decay order falls below it; `k_cap`
-    overrides the default window-size cap.
+    overrides the default window-size cap.  `r` and `k_cap` are stored
+    as int, and a value that is not an integer is refused.
     """
 
     r: int
@@ -60,6 +62,14 @@ class SelectorParams:
     k_cap: int | None = None
 
     def __post_init__(self):
+        for name in ("r", "k_cap"):
+            val = getattr(self, name)
+            if val is not None:
+                try:
+                    setattr(self, name, operator.index(val))
+                except TypeError:
+                    raise TypeError(
+                        f"{name} must be an integer, got {val!r}") from None
         for name in ("eps", "w", "theta", "detect_threshold"):
             val = getattr(self, name)
             if val is not None and not math.isfinite(val):
@@ -280,9 +290,14 @@ def _window_template(lattice: Lattice, ids, i0: int, j0: int):
     return PatternTemplate.from_offsets(rel.tolist())
 
 
-def _middle_slots(lattice: Lattice, ids, square) -> list[int]:
-    """Slots of window vertices inside the middle half-square of the
-    chosen window, growing the middle one ring at a time if it is empty."""
+def _window_core(lattice: Lattice, adjacency, ids, square) -> list[int]:
+    """Slots of the window's core H.  A closed window, one no edge leaves,
+    holds whole components: the local inversion is exact, so every slot is
+    the core.  Otherwise the core is the window vertices inside the middle
+    half-square, grown one ring at a time while it is empty; the whole
+    square holds the window, so the core is never empty."""
+    if math.isinf(graph_distance(adjacency, ids, ids)):
+        return list(range(len(ids)))
     i0, j0, k = square
     m = lattice.m
     rel = lattice.nodes[list(ids)] - (i0, j0)
@@ -410,13 +425,13 @@ def run_selection(
 
     With `exact_cov` the population covariance of `model` (assembled from
     the graph and its own theta if omitted) replaces the pooled sample
-    covariance; otherwise `samples` drawn from the graph's model are
-    pooled.  A vertex is marked decided only when all its potential
-    neighbors (the beta-ball around it) were examined jointly with it, so
-    every edge of a decided vertex has been explicitly ruled in or out.
-    Conflicting edge decisions keep the larger detection margin; on equal
-    margins the earliest decision stays.  `conflicting_pairs` counts the
-    pairs with disagreeing decisions.
+    covariance, and `samples` are refused; otherwise `samples` drawn from
+    the graph's model are pooled.  A vertex is marked decided only when all
+    its potential neighbors (the beta-ball around it) were examined jointly
+    with it, so every edge of a decided vertex has been explicitly ruled in
+    or out.  Conflicting edge decisions keep the larger detection margin;
+    on equal margins the earliest decision stays.  `conflicting_pairs`
+    counts the pairs with disagreeing decisions.
 
     A vertex whose ball holds more than r vertices can never be decided,
     so it counts as settled from the start, and any other vertex once it
@@ -433,6 +448,8 @@ def run_selection(
                                        graph.params.d)
         elif model.p != p:
             raise ValueError("model dimension disagrees with the graph")
+        if samples is not None:
+            raise ValueError("samples are not read when exact_cov is set")
     elif samples is None:
         raise ValueError("need samples unless exact_cov is set")
     elif samples.p != p:
@@ -453,28 +470,21 @@ def run_selection(
     hopeless = ball_sizes > params.r
     settled = hopeless.copy()
     codes, margins, declared = [np.zeros(0, int)], [np.zeros(0)], [np.zeros(0, bool)]
-    copies_found = copies_used = iterations = 0
+    copies_found = copies_used = 0
     achieved_zetas: list[float] = []
     low_confidence = False
 
     windows = () if settled.all() else _candidate_squares(
         lattice, params.r, k_cap, settled)
     for i, j, k, ids in windows:
-        # a closed window, one no edge leaves, holds whole components: the
-        # local inversion is exact with no truncation, so the whole window
-        # is the core; otherwise the core is the middle of the square, which
-        # grows to the whole square, and so to the whole window, if need be
-        closed = math.isinf(graph_distance(graph.adjacency, ids, ids))
-        h_slots = (list(range(len(ids))) if closed
-                   else _middle_slots(lattice, ids, (i, j, k)))
+        h_slots = _window_core(lattice, graph.adjacency, ids, (i, j, k))
         h_ids = np.asarray(ids)[None, h_slots]
         # cheap viability screen: the window's own core must decide
         # at least one new vertex, else copies cannot either; it runs
-        # before the core's distance search, which it does not need
+        # before zeta's distance search, which it does not need
         if not (_balls_inside(pair_codes, ball_sizes, h_ids) & ~settled[h_ids]).any():
             continue
-        zeta = (math.inf if closed
-                else graph_distance(graph.adjacency, h_ids[0], ids) - 2)
+        zeta = graph_distance(graph.adjacency, h_ids[0], ids) - 2
         if params.min_zeta is not None and zeta < params.min_zeta:
             continue
 
@@ -506,7 +516,6 @@ def run_selection(
         margins.append(np.broadcast_to(margin, u.shape).ravel())
         declared.append(np.broadcast_to(adj_h[a, b], u.shape).ravel())
         settled[images[_balls_inside(pair_codes, ball_sizes, images)]] = True
-        iterations += 1
         achieved_zetas.append(zeta)
         if settled.all():
             break
@@ -524,7 +533,7 @@ def run_selection(
         undecided_vertices=np.nonzero(hopeless | ~settled)[0].tolist(),
         runtime_ms=1000.0 * (time.perf_counter() - t0),
         edges=list(zip(us.tolist(), vs.tolist())),
-        true_edge_count=graph.adjacency.nnz // 2, iterations=iterations,
-        achieved_zetas=achieved_zetas, conflicting_pairs=conflicting,
-        low_confidence=low_confidence,
+        true_edge_count=graph.adjacency.nnz // 2,
+        iterations=len(achieved_zetas), achieved_zetas=achieved_zetas,
+        conflicting_pairs=conflicting, low_confidence=low_confidence,
     )

@@ -559,13 +559,9 @@ def restart_selection(graph, params, samples=None, model=None,
     skipped = set()  # (i, j, k) of the windows whose detection was skipped
 
     def core(i, j, k, ids):
-        if math.isinf(graph_distance(graph.adjacency, ids, ids)):
-            return list(range(len(ids))), math.inf
-        h_slots = sel._middle_slots(lattice, ids, (i, j, k))
-        if not h_slots:
-            return h_slots, None
-        dist = graph_distance(graph.adjacency, [ids[t] for t in h_slots], ids)
-        return h_slots, dist - 2 if math.isfinite(dist) else math.inf
+        h_slots = sel._window_core(lattice, graph.adjacency, ids, (i, j, k))
+        h_ids = [ids[t] for t in h_slots]
+        return h_slots, graph_distance(graph.adjacency, h_ids, ids) - 2
 
     detected = np.zeros(p, dtype=bool)
     undecided = np.zeros(p, dtype=bool)
@@ -583,7 +579,7 @@ def restart_selection(graph, params, samples=None, model=None,
             if (i, j, k) not in cores:
                 cores[i, j, k] = core(i, j, k, ids)
             h_slots, zeta = cores[i, j, k]
-            if not h_slots or (i, j, k) in skipped:
+            if (i, j, k) in skipped:
                 continue
             h_ids = [ids[t] for t in h_slots]
             h_set = set(h_ids)

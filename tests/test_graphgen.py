@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
@@ -175,6 +176,23 @@ def test_geograph_refuses_stored_zero():
     with pytest.raises(ValueError,
                        match=r"adjacency has shape \(150, 150\), not \(200, 200\)"):
         dataclasses.replace(g, adjacency=g.adjacency[:150, :150])
+    # a NaN point once died in the kd-tree naming no vertex
+    points = g.points.copy()
+    points[7, 1] = np.nan
+    with pytest.raises(ValueError, match="vertex 7 has a non-finite coordinate"):
+        dataclasses.replace(g, points=points)
+    # a diagonal entry is named as a self-loop before its stored value
+    for value in (1, 2):
+        B = g.adjacency.tolil()
+        B[5, 5] = value
+        with pytest.raises(ValueError, match="self-loop on vertex 5"):
+            dataclasses.replace(g, adjacency=B.tocsr())
+    # one triangle alone once passed: the upper one as a graph of half
+    # the edges, selected with loss 0; the lower one with every edge false
+    for one_way in (sp.triu(g.adjacency), sp.tril(g.adjacency)):
+        with pytest.raises(ValueError,
+                           match=rf"edge \({u}, {v}\) is stored one way only"):
+            dataclasses.replace(g, adjacency=one_way.tocsr())
 
 
 def test_planted_copies_identical_induced_subgraphs():

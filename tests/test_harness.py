@@ -136,14 +136,22 @@ def test_parse_config_rejects_a_list_key_with_no_value(key):
     ("plant_frac = -1", r"plant_frac must lie in \(0, 1\], got -1.0"),
     ("plant_frac = 2", r"plant_frac must lie in \(0, 1\], got 2.0"),
     ("plant_frac = nan", r"plant_frac must lie in \(0, 1\], got nan"),
+    ("seeds = 0, 1, 1", "seeds lists 1 more than once"),
+    ("theta = 0.2, 0.1, 0.2", "theta lists 0.2 more than once"),
 ], ids=["count_0", "count_negative", "frac_0", "frac_negative", "frac_2",
-        "frac_nan"])
+        "frac_nan", "seeds_repeated", "theta_repeated"])
 def test_parse_config_refuses_a_plant_count_below_one(line, message):
     """A fraction of 0 or below once planted one copy through
     `max(1, ...)`, and a count of 0 or a fraction above 1 was found only
     per grid point, skipping every point; each is refused with its key
-    when the config is read.  A fraction of 1 plants as many as fit."""
-    text = tuned_config().replace("plant_count = 3", line)
+    when the config is read.  A fraction of 1 plants as many as fit.  A
+    list that repeats a value, which once ran that point twice and counted
+    it twice in `summary.csv`, is refused too.  `line` replaces the line
+    of its own key, or else `plant_count = 3`."""
+    key = line.split("=")[0].strip()
+    old = next((ln for ln in tuned_config().splitlines()
+                if ln.split("=")[0].strip() == key), "plant_count = 3")
+    text = tuned_config().replace(old, line)
     assert text != tuned_config()
     with pytest.raises(ValueError, match=message):
         harness.parse_config(text)

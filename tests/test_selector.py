@@ -54,6 +54,15 @@ def test_selector_params_validation():
     for k_cap in (0, -1):  # 0 once meant the default cap, -1 decided nothing
         with pytest.raises(ValueError, match="k_cap"):
             sel.SelectorParams(r=2, eps=0.1, w=0.2, theta=0.2, k_cap=k_cap)
+    # r = 8.5 once decided nothing, r = np.int64(8) failed only in
+    # `to_json`, and a float or numpy k_cap failed inside the scan
+    for name, bad in (("r", 8.5), ("r", "8"), ("k_cap", 18.0)):
+        with pytest.raises(TypeError, match=f"{name} must be an integer, got {bad!r}"):
+            sel.SelectorParams(**{**dict(r=8, eps=0.1, w=0.2, theta=0.2), name: bad})
+    prm = sel.SelectorParams(r=np.int64(8), eps=0.1, w=0.2, theta=0.2,
+                             k_cap=np.int64(18))
+    assert (prm.r, prm.k_cap) == (8, 18)
+    assert type(prm.r) is type(prm.k_cap) is int
     zero = sel.SelectorParams(r=2, eps=0.1, w=0.2, theta=0.0, detect_threshold=0.1)
     assert zero.detect_threshold == 0.1
 
@@ -830,14 +839,24 @@ def test_candidate_squares_match_table_scan(inputs):
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(scan_inputs())
-def test_middle_slots_never_empty(inputs):
-    """The core of every scanned window is non-empty: `_middle_slots` grows
-    the middle up to the whole square, which holds the window, so
-    `run_selection` needs no branch for an empty core."""
+def test_window_core_never_empty(inputs):
+    """The core of every scanned window is non-empty, so `run_selection`
+    needs no branch for an empty core.  On a path through every vertex and
+    one more off the lattice, an edge leaves every window, so its core is
+    the middle of the square, grown up to the whole square, which holds
+    the window.  With no edges every window is closed, and its core is
+    every slot: checked on the first ten windows, since each check is one
+    more search per window."""
     lattice, r, k_cap, settled = inputs
-    for i, j, k, ids in sel._candidate_squares(
-            lattice, r, k_cap, np.zeros_like(settled)):
-        assert sel._middle_slots(lattice, ids, (i, j, k))
+    n = len(settled)
+    path = sp.eye(n + 1, k=1, format="csr") + sp.eye(n + 1, k=-1, format="csr")
+    no_edges = sp.csr_matrix((n, n))
+    squares = list(sel._candidate_squares(lattice, r, k_cap, np.zeros(n, bool)))
+    for i, j, k, ids in squares:
+        assert sel._window_core(lattice, path, ids, (i, j, k))
+    for i, j, k, ids in squares[:10]:
+        assert (sel._window_core(lattice, no_edges, ids, (i, j, k))
+                == list(range(len(ids))))
 
 
 def test_candidate_squares_match_table_scan_across_bands_and_seam():
@@ -1066,12 +1085,17 @@ def test_run_selection_report_json_schema():
 
 
 def test_run_selection_requires_samples_or_exact():
-    """Without a covariance source, or with a model or samples of another
-    dimension than the graph, the run is refused."""
+    """Without a covariance source, with both, or with a model or samples
+    of another dimension than the graph, the run is refused.  Samples
+    beside `exact_cov` were once ignored, yet their n was reported."""
     graph, eps, _ = plantcfg.grid_plant_graph(p=100, theta=0.11, seed=15)
     params = plantcfg.grid_plant_selector_params(0.11, eps)
     with pytest.raises(ValueError, match="need samples"):
         sel.run_selection(graph, params)
+    samples = gmrf.assemble_precision(graph.adjacency, 0.11, graph.params.d).sample(
+        10, seed=0)
+    with pytest.raises(ValueError, match="samples are not read when exact_cov"):
+        sel.run_selection(graph, params, samples=samples, exact_cov=True)
     other = gmrf.assemble_precision(sp.csr_matrix((99, 99), dtype=np.int8),
                                     0.11, graph.params.d)
     with pytest.raises(ValueError, match="model dimension"):
