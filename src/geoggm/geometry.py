@@ -131,17 +131,13 @@ def rotate(points, angle: float) -> np.ndarray:
     return P @ np.array([[c, s], [-s, c]])
 
 
-def grid_rotate(points, quarter_turns: int) -> np.ndarray:
-    """Exact rotation by multiples of 90 degrees (coordinate swap/negate)."""
+def grid_rotate(points, quarter_turns) -> np.ndarray:
+    """Exact rotation by multiples of 90 degrees (coordinate swap/negate):
+    one turned copy for an int, one per entry for an int array."""
     P = _as_points(points, "points")
-    q = quarter_turns % 4
-    if q == 0:
-        return P.copy()
-    if q == 1:
-        return np.column_stack([-P[:, 1], P[:, 0]])
-    if q == 2:
-        return -P
-    return np.column_stack([P[:, 1], -P[:, 0]])
+    x, y = P.T
+    turns = np.stack([P, np.column_stack([-y, x]), -P, np.column_stack([y, -x])])
+    return turns[np.mod(quarter_turns, 4)]
 
 
 def similarity(points_a, points_b, angle_grid: int = 360) -> float:
@@ -273,7 +269,6 @@ class Lattice:
     nodes: np.ndarray
     codes: np.ndarray
     vertices: np.ndarray
-    torus: Torus
 
     def lookup(self, i, j) -> np.ndarray:
         """The vertex on each node (i mod m, j mod m) of the index arrays
@@ -338,4 +333,4 @@ def quantize(graph, eps: float) -> Lattice:
         lowest = order[np.searchsorted(codes, idx[v, 0] * m + idx[v, 1])]
         raise CollisionError(int(lowest), v, tuple(idx[v].tolist()))
     return Lattice(eps=eps, m=m, nodes=idx, codes=np.append(codes, m * m),
-                   vertices=np.append(order, -1), torus=torus)
+                   vertices=np.append(order, -1))

@@ -306,8 +306,8 @@ def generate(params: FamilyParams, plant: PlantSpec | None = None) -> GeoGraph:
             raise ValueError("planted vertices exceed p")
         anchors = _place_anchors(rng, plant, params.s)
         turns = rng.integers(4, size=plant.count) if plant.rotate else 0
-        shapes = np.stack([grid_rotate(plant.points, q) for q in range(4)])
-        planted = torus.wrap(anchors[:, None] + shapes[turns]).reshape(-1, 2)
+        turned = grid_rotate(plant.points, turns)
+        planted = torus.wrap(anchors[:, None] + turned).reshape(-1, 2)
         plants = tuple(map(tuple, np.arange(len(planted)).reshape(
             plant.count, plant.size).tolist()))
         if len(planted) < params.p:

@@ -64,8 +64,12 @@ class ExperimentConfig:
         for name, values in (("eta", self.eta), ("beta", self.beta)):
             if len(values) > 1:
                 raise ValueError(f"{name} takes one value, got {values}")
-        if self.plant_count is not None and self.plant_count < 1:
-            raise ValueError(f"plant_count must be at least 1, got {self.plant_count}")
+        for name in ("plant_r", "plant_count", "plant_grid"):
+            val = getattr(self, name)
+            if val is not None and val < 1:
+                raise ValueError(f"{name} must be at least 1, got {val}")
+        if self.eps is not None and not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if self.plant_frac is not None and not 0 < self.plant_frac <= 1:
             raise ValueError(f"plant_frac must lie in (0, 1], got {self.plant_frac}")
         for d_val, theta in itertools.product(self.d, self.theta):
@@ -121,8 +125,8 @@ def _entropy_words(master: int, seed: int, **params) -> list[int]:
     for key in sorted(params):
         val = params[key]
         if isinstance(val, float):
-            words.append(struct.unpack("<Q", struct.pack("<d", val))[0] & 0xFFFFFFFF)
-            words.append(struct.unpack("<Q", struct.pack("<d", val))[0] >> 32)
+            bits = struct.unpack("<Q", struct.pack("<d", val))[0]
+            words += [bits & 0xFFFFFFFF, bits >> 32]
         else:
             words.append(int(val) & 0xFFFFFFFF)
     return words
@@ -155,7 +159,7 @@ def _plant_template_cells(r_t: int, grid: int, master: int) -> list[tuple[int, i
     ]
     extra = rng.choice(len(pool), size=r_t - len(cells), replace=False)
     cells += [pool[i] for i in sorted(extra)]
-    return cells[:r_t]
+    return cells
 
 
 def build_plant_spec(cfg: ExperimentConfig, p: int, beta: float,
@@ -266,7 +270,7 @@ def _run_one(cfg, p, n, theta, d, eta, beta, seed) -> RunRecord:
         r=cfg.r if cfg.r is not None else (plant.size if plant else
                                            max(2, math.ceil(math.log(math.log(p))))),
         eps=eps,
-        w=cfg.w if cfg.w is not None else max(eps, eps * math.log(p) ** 2),
+        w=cfg.w if cfg.w is not None else eps * math.log(p) ** 2,
         theta=theta,
         detect_threshold=cfg.threshold,
         min_zeta=cfg.min_zeta,

@@ -126,7 +126,7 @@ def _rotated_cells(template: PatternTemplate) -> np.ndarray:
     hull-interior cells, under each quarter turn q = 0..3 and shifted so
     the rotated offsets touch (0, 0): one hull for all four rotations."""
     cells = np.array(template.offsets + template.interior_cells())
-    rot = np.stack([grid_rotate(cells, q) for q in range(4)]).astype(int)
+    rot = grid_rotate(cells, np.arange(4)).astype(int)
     return rot - rot[:, :template.size].min(axis=1, keepdims=True)
 
 
@@ -168,7 +168,7 @@ def find_copies(lattice: Lattice, template: PatternTemplate, graph,
     _, idx = np.unique(np.sort(rows, axis=1), axis=0, return_index=True)
     matches = rows[np.sort(idx)]
     pts = graph.points[matches]
-    torus = lattice.torus
+    torus = graph.torus
     local = torus.delta(pts[:, :1], pts)
     centers = torus.wrap(pts[:, 0] + local.mean(axis=1))
     return CopySet(matches=matches, centers=centers, torus=torus)

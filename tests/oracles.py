@@ -338,7 +338,7 @@ def brute_copy_scan(occupancy, cells, dedup=True):
 Occurrence = namedtuple("Occurrence", "position rotation vertex_ids center")
 
 
-def roll_find_copies(lattice, template, points, anchor=None):
+def roll_find_copies(lattice, template, graph, anchor=None):
     """The earlier `find_copies`: a placement (i, j) of rotation q matches
     when every rolled occupancy mask of the rotated offsets is set there and
     every rolled mask of its hull-interior cells is clear.  Each rotation
@@ -347,11 +347,11 @@ def roll_find_copies(lattice, template, points, anchor=None):
     Returns the Occurrence list in rotation-then-row-major order,
     deduplicated by vertex set.  With `anchor`, the rotation-0 placement
     there comes first and every later placement covering its vertex set is
-    dropped."""
+    dropped.  `graph` supplies the points and the torus of the centers."""
     grid = dense_grid(lattice)
     occ = grid >= 0
     m = lattice.m
-    torus = lattice.torus
+    points, torus = graph.points, graph.torus
     seen_patterns, seen_sets, matches = set(), set(), []
 
     def occurrence(i, j, q, ids):

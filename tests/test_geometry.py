@@ -92,6 +92,30 @@ def test_matching_distance_metric_properties():
         )
 
 
+def test_grid_rotate_turn_arrays_match_single_turns():
+    """An int array of turns gives, bit for bit, the stack of the single
+    turns, and each single turn is the exact swap and negation of its
+    quarter turn; `.tobytes()` tells signed zeros apart."""
+    exact = (lambda x, y: (x, y), lambda x, y: (-y, x),
+             lambda x, y: (-x, -y), lambda x, y: (y, -x))
+    rng = np.random.default_rng(3)
+    for pts in ([(0.0, -0.0), (-0.0, 2.5), (1.5, 0.0), (-3.0, -0.0)],
+                rng.standard_normal((7, 2)), [(1, 2)]):
+        P = np.asarray(pts, float)
+        single = {}
+        for q in range(-5, 9):
+            got = geo.grid_rotate(pts, q)
+            want = np.column_stack(exact[q % 4](P[:, 0], P[:, 1]))
+            assert got.shape == P.shape and got.tobytes() == want.tobytes()
+            single[q] = got
+        for turns in (np.arange(4), np.arange(-5, 9), np.array([3, 3, -1, 0]),
+                      np.array([[2, -7], [5, 1]]), np.array([], dtype=int)):
+            got = geo.grid_rotate(pts, turns)
+            want = np.array([single[q % 4] for q in turns.ravel()]).reshape(
+                turns.shape + P.shape)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_similarity_exact_rigid_copy_on_grid_angle():
     rng = np.random.default_rng(4)
     F = rng.uniform(0, 2, (4, 2))

@@ -138,16 +138,29 @@ def test_parse_config_rejects_a_list_key_with_no_value(key):
     ("plant_frac = nan", r"plant_frac must lie in \(0, 1\], got nan"),
     ("seeds = 0, 1, 1", "seeds lists 1 more than once"),
     ("theta = 0.2, 0.1, 0.2", "theta lists 0.2 more than once"),
+    ("eps = 0", "eps must be positive and finite, got 0.0"),
+    ("eps = -1", "eps must be positive and finite, got -1.0"),
+    ("eps = inf", "eps must be positive and finite, got inf"),
+    ("eps = nan", "eps must be positive and finite, got nan"),
+    ("plant_r = 0", "plant_r must be at least 1, got 0"),
+    ("plant_r = -3", "plant_r must be at least 1, got -3"),
+    ("plant_grid = 0", "plant_grid must be at least 1, got 0"),
+    ("plant_grid = -7", "plant_grid must be at least 1, got -7"),
 ], ids=["count_0", "count_negative", "frac_0", "frac_negative", "frac_2",
-        "frac_nan", "seeds_repeated", "theta_repeated"])
+        "frac_nan", "seeds_repeated", "theta_repeated", "eps_0",
+        "eps_negative", "eps_inf", "eps_nan", "plant_r_0", "plant_r_negative",
+        "plant_grid_0", "plant_grid_negative"])
 def test_parse_config_refuses_a_plant_count_below_one(line, message):
     """A fraction of 0 or below once planted one copy through
     `max(1, ...)`, and a count of 0 or a fraction above 1 was found only
     per grid point, skipping every point; each is refused with its key
     when the config is read.  A fraction of 1 plants as many as fit.  A
     list that repeats a value, which once ran that point twice and counted
-    it twice in `summary.csv`, is refused too.  `line` replaces the line
-    of its own key, or else `plant_count = 3`."""
+    it twice in `summary.csv`, is refused too.  So are a pitch that is not
+    positive and finite (0 once died in `snap_eps`, the others skipped
+    every point), a `plant_r` below 1 (0 once died at `p // r_t`) and a
+    `plant_grid` below 1 (0 once fell back to the default grid).  `line`
+    replaces the line of its own key, or else `plant_count = 3`."""
     key = line.split("=")[0].strip()
     old = next((ln for ln in tuned_config().splitlines()
                 if ln.split("=")[0].strip() == key), "plant_count = 3")

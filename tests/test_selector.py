@@ -177,7 +177,7 @@ def _copies_against_oracle(nodes, m, offsets):
     search, with the rotation each oracle row was found under."""
     lat, cloud = _lattice_from_nodes(nodes, m)
     template = PatternTemplate.from_offsets(offsets)
-    want = oracles.roll_find_copies(lat, template, cloud.points)
+    want = oracles.roll_find_copies(lat, template, cloud)
     got = sel.find_copies(lat, template, cloud)
     assert got.matches.tolist() == [list(o.vertex_ids) for o in want]
     assert np.array_equal(got.centers, np.array([o.center for o in want]))
@@ -288,7 +288,7 @@ def test_copy_stages_match_oracles(inputs):
     if window is not None:
         first = window[0]
         anchor = oracles.window_anchor(lattice, *window)
-    want = oracles.roll_find_copies(lattice, template, cloud.points, anchor)
+    want = oracles.roll_find_copies(lattice, template, cloud, anchor)
     got = sel.find_copies(lattice, template, cloud, first=first)
     assert got.matches.shape == (len(want), template.size)
     assert got.matches.tolist() == [list(o.vertex_ids) for o in want]
@@ -297,7 +297,7 @@ def test_copy_stages_match_oracles(inputs):
     if not want:
         return
     sel.greedy_separated(got, w)
-    separated = oracles.scan_separated(want, lattice.torus, w)
+    separated = oracles.scan_separated(want, cloud.torus, w)
     assert got.separated == separated
     n = int(rng.integers(1, 6))
     samples = gmrf.SampleMatrix(
@@ -1247,8 +1247,7 @@ def _check_copy_stages(monkeypatch):
 
     def spy_find(lattice, template, graph, first=None):
         copies = find(lattice, template, graph, first=first)
-        want = oracles.roll_find_copies(lattice, template, graph.points,
-                                        state["anchor"])
+        want = oracles.roll_find_copies(lattice, template, graph, state["anchor"])
         assert copies.matches.tolist() == [list(o.vertex_ids) for o in want]
         assert np.array_equal(copies.centers, [o.center for o in want])
         state["want"] = want
