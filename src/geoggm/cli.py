@@ -7,6 +7,7 @@ sweep emitting runs.json and summary.csv).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -111,7 +112,7 @@ def _cmd_experiment(args) -> int:
     with open(args.config) as fh:
         cfg = parse_config(fh.read())
     if args.out is not None:
-        cfg.out = args.out
+        cfg = dataclasses.replace(cfg, out=args.out)
     records = run_experiment(cfg, log=lambda msg: print(msg, file=sys.stderr))
     if not records:
         print("no runs completed", file=sys.stderr)

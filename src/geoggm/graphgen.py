@@ -166,11 +166,16 @@ class GeoGraph:
             self._beta_pairs = self.torus.close_pairs(self.points, self.params.beta)
         return self._beta_pairs
 
-    def edges(self) -> list[tuple[int, int]]:
+    @property
+    def edge_codes(self) -> np.ndarray:
+        """The sorted int64 codes u * p + v (u < v) of the edges."""
         coo = self.adjacency.tocoo()
-        uv = np.column_stack([coo.row, coo.col])[coo.row < coo.col]
-        uv = uv[np.lexsort(uv.T[::-1])]
-        return list(map(tuple, uv.tolist()))
+        upper = coo.row < coo.col
+        return np.sort(coo.row[upper].astype(np.int64) * self.p + coo.col[upper])
+
+    def edges(self) -> list[tuple[int, int]]:
+        us, vs = np.divmod(self.edge_codes, self.p)
+        return list(zip(us.tolist(), vs.tolist()))
 
     def edge_count(self) -> int:
         return self.adjacency.nnz // 2

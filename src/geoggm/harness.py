@@ -64,14 +64,25 @@ class ExperimentConfig:
         for name, values in (("eta", self.eta), ("beta", self.beta)):
             if len(values) > 1:
                 raise ValueError(f"{name} takes one value, got {values}")
-        for name in ("plant_r", "plant_count", "plant_grid"):
+        for name, least in (("n", 1), ("r", 2), ("k_cap", 1), ("plant_r", 1),
+                            ("plant_count", 1), ("plant_grid", 1)):
             val = getattr(self, name)
-            if val is not None and val < 1:
-                raise ValueError(f"{name} must be at least 1, got {val}")
-        if self.eps is not None and not 0 < self.eps < math.inf:
-            raise ValueError(f"eps must be positive and finite, got {self.eps}")
+            val = min(val) if isinstance(val, list) else val
+            if val is not None and val < least:
+                raise ValueError(f"{name} must be at least {least}, got {val}")
+        for name in ("eps", "w"):
+            val = getattr(self, name)
+            if val is not None and not 0 < val < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {val}")
+        # SelectorParams takes 0 < threshold < theta, or threshold > 0 at theta <= 0
+        thr = self.threshold
+        if thr is not None and not any(0 < thr < t or t <= 0 < thr for t in self.theta):
+            raise ValueError(f"threshold must be positive, and below a positive "
+                             f"theta: no theta in {self.theta} admits {thr}")
         if self.plant_frac is not None and not 0 < self.plant_frac <= 1:
             raise ValueError(f"plant_frac must lie in (0, 1], got {self.plant_frac}")
+        if not self.out:
+            raise ValueError("out must name a directory, got ''")
         for d_val, theta in itertools.product(self.d, self.theta):
             if d_val * theta >= 0.5:
                 raise ValueError(

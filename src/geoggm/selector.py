@@ -16,7 +16,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .geometry import (
     CollisionError,
@@ -343,15 +342,12 @@ class SelectionReport:
                           allow_nan=False)
 
 
-def zero_one_loss(e_hat, e_true):
-    """(loss, missed, false): loss is 0 iff the adjacencies are identical;
-    the counts enumerate the symmetric difference over unordered pairs."""
-    A = sp.csr_matrix(e_hat) != 0
-    B = sp.csr_matrix(e_true) != 0
-    if A.shape != B.shape:
-        raise ValueError("adjacency shapes differ")
-    missed = sp.triu(B > A, k=1).nnz
-    false = sp.triu(A > B, k=1).nnz
+def zero_one_loss(hat_codes, true_codes):
+    """(loss, missed, false) between two edge sets of sorted, distinct pair
+    codes u * p + v (u < v): loss is 0 iff the sets are equal; the counts
+    enumerate the symmetric difference."""
+    both = len(np.intersect1d(hat_codes, true_codes, assume_unique=True))
+    missed, false = len(true_codes) - both, len(hat_codes) - both
     return (0 if (missed == 0 and false == 0) else 1), missed, false
 
 
@@ -456,8 +452,7 @@ def run_selection(
         raise ValueError("sample dimension disagrees with the graph")
     # a decided vertex has every edge inside its beta-ball
     pair_codes, ball_sizes = _close_pairs(graph.beta_pairs(), p)
-    edges = sp.triu(graph.adjacency, k=1)
-    true_codes = edges.row.astype(np.int64) * p + edges.col
+    true_codes = graph.edge_codes
     far = true_codes[pair_codes[np.searchsorted(pair_codes, true_codes)] != true_codes]
     if len(far):
         u, v = divmod(int(far[0]), p)
@@ -520,11 +515,10 @@ def run_selection(
         if settled.all():
             break
 
-    edge_codes, conflicting = _resolve_pairs(
+    hat_codes, conflicting = _resolve_pairs(
         *map(np.concatenate, (codes, margins, declared)))
-    us, vs = np.divmod(edge_codes, p)  # us < vs: the upper triangle suffices
-    e_hat = sp.csr_matrix((np.ones(len(us), dtype=np.int8), (us, vs)), shape=(p, p))
-    loss, missed, false = zero_one_loss(e_hat, graph.adjacency)
+    loss, missed, false = zero_one_loss(hat_codes, true_codes)
+    us, vs = np.divmod(hat_codes, p)
     return SelectionReport(
         p=p, n=samples.n if samples is not None else 0, r=params.r,
         eps=eps_used, w=params.w, theta=params.theta,
@@ -533,7 +527,7 @@ def run_selection(
         undecided_vertices=np.nonzero(hopeless | ~settled)[0].tolist(),
         runtime_ms=1000.0 * (time.perf_counter() - t0),
         edges=list(zip(us.tolist(), vs.tolist())),
-        true_edge_count=graph.adjacency.nnz // 2,
+        true_edge_count=len(true_codes),
         iterations=len(achieved_zetas), achieved_zetas=achieved_zetas,
         conflicting_pairs=conflicting, low_confidence=low_confidence,
     )

@@ -34,6 +34,9 @@ shapes of library code kept as references for their rewrites:
 - `scaled_triangular_sample`, `PrecisionModel.sample` before it told
   the triangular solve that the factor has a unit diagonal: a CSR copy
   of L^T whose diagonal the solve divides by.
+- `matrix_zero_one_loss`, `zero_one_loss` before edge sets went to sorted
+  pair codes: both sets as sparse adjacencies, compared entry by entry
+  over the upper triangle.  The restart oracle scores with it.
 """
 import itertools
 import math
@@ -655,7 +658,7 @@ def restart_selection(graph, params, samples=None, model=None,
     cols = [v for u, v in edges] + [u for u, v in edges]
     e_hat = sp.csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)),
                           shape=(p, p))
-    loss, missed, false = sel.zero_one_loss(e_hat, graph.adjacency)
+    loss, missed, false = matrix_zero_one_loss(e_hat, graph.adjacency)
     return sel.SelectionReport(
         p=p, n=samples.n if samples is not None else 0, r=params.r,
         eps=lattice.eps, w=params.w, theta=params.theta,
@@ -669,6 +672,18 @@ def restart_selection(graph, params, samples=None, model=None,
                               for _, _, meta in decisions.values()),
         low_confidence=low_confidence,
     )
+
+
+def matrix_zero_one_loss(e_hat, e_true):
+    """(loss, missed, false): loss is 0 iff the adjacencies are identical;
+    the counts enumerate the symmetric difference over unordered pairs."""
+    A = sp.csr_matrix(e_hat) != 0
+    B = sp.csr_matrix(e_true) != 0
+    if A.shape != B.shape:
+        raise ValueError("adjacency shapes differ")
+    missed = sp.triu(B > A, k=1).nnz
+    false = sp.triu(A > B, k=1).nnz
+    return (0 if (missed == 0 and false == 0) else 1), missed, false
 
 
 def dict_resolve_pairs(codes, margins, declared):

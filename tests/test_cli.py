@@ -160,7 +160,7 @@ def test_bounds_table(capsys):
     assert "continuous copies" in out
 
 
-def test_experiment_command(tmp_path):
+def _experiment_config(tmp_path):
     p = 60
     s = round(math.sqrt(p) / 0.06) * 0.06
     eta = p / s**2
@@ -171,8 +171,25 @@ def test_experiment_command(tmp_path):
         f"beta = {beta!r}\nseeds = 0\neps = 0.06\nw = 0.12\n"
         "plant_r = 20\nplant_grid = 7\nmaster_seed = 3\n"
     )
+    return cfg
+
+
+def test_experiment_command(tmp_path):
+    cfg = _experiment_config(tmp_path)
     out_dir = tmp_path / "out"
     rc = cli.main(["experiment", "--config", str(cfg), "--out", str(out_dir)])
     assert rc == 0
     assert (out_dir / "runs.json").exists()
     assert (out_dir / "summary.csv").exists()
+
+
+def test_experiment_refuses_an_empty_out(tmp_path, monkeypatch):
+    """`--out ''` goes through the config's own check, so it is refused
+    before the sweep; it once ran every point and then raised
+    `FileNotFoundError` on writing, losing the runs."""
+    cfg = _experiment_config(tmp_path)
+    ran = []
+    monkeypatch.setattr(cli, "run_experiment", lambda *args, **kw: ran.append(1))
+    with pytest.raises(ValueError, match="out must name a directory, got ''"):
+        cli.main(["experiment", "--config", str(cfg), "--out", ""])
+    assert not ran

@@ -140,11 +140,38 @@ def test_edges_sorted_upper_triangle():
     g = gg.GeoGraph(params=small_params(), points=np.zeros((100, 2)),
                     adjacency=adj)
     assert g.edges() == [(0, 1), (0, 2), (1, 2)]
+    assert g.edge_codes.tolist() == [1, 2, 102]
     assert all(type(x) is int for e in g.edges() for x in e)
     g = gg.generate(small_params(seed=4))
     coo = g.adjacency.tocoo()
     assert g.edges() == sorted(
         (int(u), int(v)) for u, v in zip(coo.row, coo.col) if u < v)
+
+
+def test_edge_codes_agree_with_edges(tmp_path):
+    """`edge_codes` is derived from the adjacency, not stored: it lists
+    `edges()` as the sorted int64 codes u * p + v, one per edge, on a
+    generated graph, on one read back from its file and on one whose
+    adjacency was replaced."""
+    import dataclasses
+
+    g = gg.generate(small_params(seed=4))
+    path = tmp_path / "graph.txt"
+    gg.write_graph(g, path)
+    u, v = g.edges()[0]
+    B = g.adjacency.tolil()
+    B[u, v] = B[v, u] = 0
+    B = B.tocsr()
+    B.eliminate_zeros()
+    fewer = dataclasses.replace(g, adjacency=B)
+    assert fewer.edge_count() == g.edge_count() - 1
+    for graph in (g, gg.read_graph(path), fewer):
+        codes = graph.edge_codes
+        assert codes.dtype == np.int64 and len(codes) == graph.edge_count()
+        assert (np.diff(codes) > 0).all()
+        assert [divmod(int(c), graph.p) for c in codes] == graph.edges()
+        assert all(type(x) is int for e in graph.edges() for x in e)
+    assert u * g.p + v not in fewer.edge_codes
 
 
 def test_geograph_refuses_stored_zero():

@@ -146,10 +146,22 @@ def test_parse_config_rejects_a_list_key_with_no_value(key):
     ("plant_r = -3", "plant_r must be at least 1, got -3"),
     ("plant_grid = 0", "plant_grid must be at least 1, got 0"),
     ("plant_grid = -7", "plant_grid must be at least 1, got -7"),
+    ("w = 0", "w must be positive and finite, got 0.0"),
+    ("w = inf", "w must be positive and finite, got inf"),
+    ("w = nan", "w must be positive and finite, got nan"),
+    ("n = 0", "n must be at least 1, got 0"),
+    ("r = 1", "r must be at least 2, got 1"),
+    ("k_cap = 0", "k_cap must be at least 1, got 0"),
+    ("threshold = 0", r"no theta in \[0.2\] admits 0.0"),
+    ("threshold = 0.5", r"no theta in \[0.2\] admits 0.5"),
+    ("threshold = nan", r"no theta in \[0.2\] admits nan"),
+    ("out =", "out must name a directory, got ''"),
 ], ids=["count_0", "count_negative", "frac_0", "frac_negative", "frac_2",
         "frac_nan", "seeds_repeated", "theta_repeated", "eps_0",
         "eps_negative", "eps_inf", "eps_nan", "plant_r_0", "plant_r_negative",
-        "plant_grid_0", "plant_grid_negative"])
+        "plant_grid_0", "plant_grid_negative", "w_0", "w_inf", "w_nan", "n_0",
+        "r_1", "k_cap_0", "threshold_0", "threshold_above_theta",
+        "threshold_nan", "out_empty"])
 def test_parse_config_refuses_a_plant_count_below_one(line, message):
     """A fraction of 0 or below once planted one copy through
     `max(1, ...)`, and a count of 0 or a fraction above 1 was found only
@@ -158,9 +170,13 @@ def test_parse_config_refuses_a_plant_count_below_one(line, message):
     list that repeats a value, which once ran that point twice and counted
     it twice in `summary.csv`, is refused too.  So are a pitch that is not
     positive and finite (0 once died in `snap_eps`, the others skipped
-    every point), a `plant_r` below 1 (0 once died at `p // r_t`) and a
-    `plant_grid` below 1 (0 once fell back to the default grid).  `line`
-    replaces the line of its own key, or else `plant_count = 3`."""
+    every point), a `plant_r` below 1 (0 once died at `p // r_t`), a
+    `plant_grid` below 1 (0 once fell back to the default grid), and the
+    `w`, `n`, `r`, `k_cap` and `threshold` values that once skipped every
+    point.  A threshold is refused only where no swept theta admits it.
+    An empty `out` once ran the whole sweep and then raised
+    `FileNotFoundError` on writing.  `line` replaces the line of its own
+    key, or else `plant_count = 3`."""
     key = line.split("=")[0].strip()
     old = next((ln for ln in tuned_config().splitlines()
                 if ln.split("=")[0].strip() == key), "plant_count = 3")
@@ -170,6 +186,8 @@ def test_parse_config_refuses_a_plant_count_below_one(line, message):
         harness.parse_config(text)
     assert harness.parse_config(
         tuned_config().replace("plant_count = 3", "plant_frac = 1")).plant_frac == 1
+    assert harness.parse_config(tuned_config().replace(
+        "theta = 0.2", "theta = 0.2, 0.05\nthreshold = 0.1")).threshold == 0.1
 
 
 def test_config_rejects_coupling_violation():
