@@ -7,13 +7,30 @@ vertex sets onto a regular lattice.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
-from scipy.spatial import cKDTree
+
+# candidate pairs measured at once by `Torus.close_pairs`
+_PAIR_CHUNK = 1 << 18
+
+
+@functools.lru_cache(maxsize=64)
+def _stencil(g: int) -> np.ndarray:
+    """Read-only (3, K, 1) rows da, db and mirror: the cell offsets mod g
+    that with their mirrors reach a cell of a g x g periodic grid and its
+    eight neighbours, and 1 where an offset is its own mirror ((0, 0)
+    always, every offset when g = 2).  Such a cell gives only its later
+    points, so each pair is met once."""
+    da, db = np.array(list(dict.fromkeys(
+        (a % g, b % g) for a, b in ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1))))).T
+    rows = np.stack([da, db, (2 * da % g == 0) & (2 * db % g == 0)])[:, :, None]
+    rows.setflags(write=False)
+    return rows
 
 
 class CollisionError(ValueError):
@@ -60,19 +77,84 @@ class Torus:
         return float(out) if out.ndim == 0 else out
 
     def close_pairs(self, points, radius: float) -> np.ndarray:
-        """The (N, 2) index pairs i < j that a periodic kd-tree puts within
-        toroidal distance `radius` of each other."""
-        tree = cKDTree(self.wrap(points), boxsize=self.s)
-        return tree.query_pairs(radius, output_type="ndarray").reshape(-1, 2)
+        """The (N, 2) index pairs i < j within toroidal distance `radius`.
+
+        A pair is kept by the periodic kd-tree's rule: each axis difference
+        is wrapped by s once its size passes s/2, and the pair is kept when
+        dx*dx + dy*dy <= radius*radius.  Radius 0 pairs coincident points
+        and inf pairs every two; a negative or NaN radius is refused.
+
+        The wrapped points are hashed into a periodic grid of g x g cells
+        (Teschner et al., VMV 2003), each a hair wider than `radius` and no
+        more cells than points, so a close pair lies in one cell or in two
+        neighbouring ones.  Each point meets the later points of its own
+        cell and every point of four neighbour cells, a half stencil that
+        with its mirror reaches all eight; where the grid is 2 cells wide a
+        neighbour is its own mirror and also gives only later points.  The
+        candidates go through the distance rule in chunks of at most about
+        `_PAIR_CHUNK`, so memory follows the points and the pairs kept.
+        The pairs come in stencil, then cell order, not sorted.
+        """
+        if not radius >= 0:
+            raise ValueError(f"radius must be nonnegative, got {radius}")
+        X = np.asarray(points, dtype=float).reshape(-1, 2)
+        n, s = len(X), self.s
+        if n < 2:
+            return np.empty((0, 2), dtype=np.intp)
+        if not (X.min() >= 0 and X.max() < s):
+            if not np.isfinite(X).all():
+                raise ValueError("points must be finite")
+            X = self.wrap(X)
+        per_side = s / (radius * (1 + 1e-9)) if radius else math.inf
+        g = max(1, int(min(math.isqrt(n), per_side)))
+        cell = (X * (g / s)).astype(np.intp)
+        np.minimum(cell, g - 1, out=cell)
+        # sorting code * n + index groups the points by cell, stably
+        code, order = np.divmod(
+            np.sort((cell[:, 0] * g + cell[:, 1]) * n + np.arange(n)), n)
+        start = np.searchsorted(code, np.arange(g * g + 1))
+        xs, ys = X[order].T
+        cx, cy = np.divmod(code, g)
+        da, db, mirror = _stencil(g)
+        # row (k, q) pairs sorted point q with the points at sorted
+        # positions [lo, lo + count) in the k-th stencil cell of its own
+        nb = (cx + da) % g * g + (cy + db) % g
+        lo = np.maximum(start[nb], mirror * np.arange(1, n + 1)).ravel()
+        count = start[nb + 1].ravel() - lo
+        np.maximum(count, 0, out=count)
+        end = np.cumsum(count)
+        cuts = np.searchsorted(end, range(_PAIR_CHUNK, end[-1], _PAIR_CHUNK),
+                               side="right").tolist()
+        r2, out = radius * radius, []
+        for a, b in zip([0, *cuts], [*cuts, len(end)]):
+            if a == b:  # a row longer than a chunk spans a cut
+                continue
+            c = count[a:b]
+            first = end[a:b] - c  # each row's first candidate
+            u = np.repeat(np.arange(a, b) % n, c)
+            v = np.repeat(lo[a:b] - first, c) + np.arange(first[0], end[b - 1])
+            # each axis: |d|, or s - |d| once |d| passes s/2, squared
+            dx = np.abs(xs[u] - xs[v])
+            np.minimum(dx, s - dx, out=dx)
+            dy = np.abs(ys[u] - ys[v])
+            np.minimum(dy, s - dy, out=dy)
+            near = dx * dx + dy * dy <= r2
+            i, j = order[u[near]], order[v[near]]
+            pairs = np.empty((len(i), 2), dtype=np.intp)
+            np.minimum(i, j, out=pairs[:, 0])
+            np.maximum(i, j, out=pairs[:, 1])
+            out.append(pairs)
+        return out[0] if len(out) == 1 else np.concatenate(out)
 
     def separated(self, points, sep: float) -> list[int]:
         """Indices of the points kept by a scan in order that keeps each
         point unless an earlier kept point lies closer than `sep`.
 
-        The kd-tree, queried a hair beyond `sep`, proposes the pairs; the
-        exact distance from the later point to the earlier one decides each
-        (a pair exactly `sep` apart does not clash), and the clashing pairs,
-        in order of their later point, drop it where the earlier is kept.
+        `close_pairs`, asked for a hair beyond `sep`, proposes the pairs;
+        the exact distance from the later point to the earlier one decides
+        each (a pair exactly `sep` apart does not clash), and the clashing
+        pairs, in order of their later point, drop it where the earlier is
+        kept.
         """
         X = np.asarray(points, dtype=float)
         i, j = self.close_pairs(X, sep + 1e-9 * self.s).T

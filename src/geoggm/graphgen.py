@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.spatial import cKDTree
 
 from .bounds import check_family
 from .geometry import Torus, grid_rotate
@@ -161,7 +160,7 @@ class GeoGraph:
 
     def beta_pairs(self) -> np.ndarray:
         """`torus.close_pairs(points, beta)`: the (N, 2) index pairs i < j
-        within toroidal distance beta, in the kd-tree's order."""
+        within toroidal distance beta, in the order it gives them."""
         if self._beta_pairs is None:
             self._beta_pairs = self.torus.close_pairs(self.points, self.params.beta)
         return self._beta_pairs
@@ -192,15 +191,15 @@ def build_edges(points, d: int, beta: float, torus: Torus,
     torus side are treated as tied and ordered by the pair's canonical
     displacement vector, then by endpoint coordinates, so the rule is a
     function of relative geometry only and exact translated copies of a
-    pattern (with matching surroundings) are wired identically.
+    pattern (with matching surroundings) are wired identically.  Pairs
+    tied on all of these go in order of their vertex ids (i, j), so the
+    order of `pairs` does not matter.
 
     The greedy walk goes over chunks of the length order that start at n
     pairs and double, each ending with a run of equal lengths.  Degrees
     only grow, so a pair with an endpoint already at d when its chunk
     starts is dropped unseen; only the others get tie-break keys and
-    enter the loop.  The length sort is stable and the tie-break sort
-    keeps the survivors' order, so fully tied pairs keep the order of
-    `pairs`.
+    enter the loop.
     """
     if beta >= 0.5 * torus.s:
         raise ValueError("beta must be below half the torus side")
@@ -231,8 +230,8 @@ def build_edges(points, d: int, beta: float, torus: Torus,
         sign = np.where((ddx < 0) | ((ddx == 0) & (ddy < 0)), -1.0, 1.0)
         dx_key = np.round(sign * ddx / tol).astype(np.int64)
         dy_key = np.round(sign * ddy / tol).astype(np.int64)
-        live = live[np.lexsort((lo[:, 1], lo[:, 0], dy_key, dx_key,
-                                dist_key[live]))]
+        live = live[np.lexsort((vs[live], us[live], lo[:, 1], lo[:, 0],
+                                dy_key, dx_key, dist_key[live]))]
         for k, u, v in zip(live.tolist(), us[live].tolist(), vs[live].tolist()):
             if deg[u] < d and deg[v] < d:
                 deg[u] += 1
@@ -316,12 +315,15 @@ def generate(params: FamilyParams, plant: PlantSpec | None = None) -> GeoGraph:
         plants = tuple(map(tuple, np.arange(len(planted)).reshape(
             plant.count, plant.size).tolist()))
         if len(planted) < params.p:
-            tree = cKDTree(planted, boxsize=params.s)
 
             def keep(points, start):
-                near = tree.query_ball_point(points[start:], plant.clearance,
-                                             return_length=True)
-                return start + np.flatnonzero(near == 0)
+                # a batch point within `clearance` of a planted one pairs
+                # with it; planted points come first, so they are the i
+                i, j = torus.close_pairs(np.vstack([planted, points[start:]]),
+                                         plant.clearance).T
+                clear = np.ones(len(planted) + len(points) - start, dtype=bool)
+                clear[j[i < len(planted)]] = False
+                return start + np.flatnonzero(clear[len(planted):])
     background = _draw_kept(rng, params.p - len(planted), params.s, keep,
                             "could not place background vertices")
     points = np.vstack([planted, background])

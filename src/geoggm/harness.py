@@ -79,6 +79,13 @@ class ExperimentConfig:
         if thr is not None and not any(0 < thr < t or t <= 0 < thr for t in self.theta):
             raise ValueError(f"threshold must be positive, and below a positive "
                              f"theta: no theta in {self.theta} admits {thr}")
+        # the pitch each point snaps to: a smaller w fails every point
+        eta = self.eta[0]
+        pitches = [_pitch(self.eps, p, math.sqrt(p / eta))
+                   for p in self.p if p > 1 and eta > 0]
+        if self.w is not None and pitches and self.w < min(pitches):
+            raise ValueError(f"w = {self.w} is below the lattice pitch at every "
+                             f"p: the smallest is {min(pitches)}")
         if self.plant_frac is not None and not 0 < self.plant_frac <= 1:
             raise ValueError(f"plant_frac must lie in (0, 1], got {self.plant_frac}")
         if not self.out:
@@ -153,6 +160,13 @@ def derive_seeds(master: int, seed: int, **params) -> tuple[int, int]:
         int(graph_ss.generate_state(1, np.uint32)[0]),
         int(sample_ss.generate_state(1, np.uint32)[0]),
     )
+
+
+def _pitch(eps: float | None, p: int, s: float) -> float:
+    """A sweep point's lattice pitch: `eps`, or 1/ln p when unset, snapped
+    to a divisor of the torus side `s` so that planted copies land exactly
+    on the selection lattice at every p."""
+    return snap_eps(eps if eps is not None else 1.0 / math.log(p), s)
 
 
 def _plant_template_cells(r_t: int, grid: int, master: int) -> list[tuple[int, int]]:
@@ -269,10 +283,7 @@ def _run_one(cfg, p, n, theta, d, eta, beta, seed) -> RunRecord:
     )
     params = FamilyParams(p=p, eta=eta, d=d, beta=beta, theta=theta,
                           seed=graph_seed)
-    eps = cfg.eps if cfg.eps is not None else 1.0 / math.log(p)
-    # snap the pitch to a divisor of this sweep point's torus side so that
-    # planted copies land exactly on the selection lattice at every p
-    eps = snap_eps(eps, params.s)
+    eps = _pitch(cfg.eps, p, params.s)
     plant = build_plant_spec(cfg, p, beta, eps)
     graph = generate(params, plant)
     model = assemble_precision(graph.adjacency, theta, d)

@@ -26,6 +26,9 @@ shapes of library code kept as references for their rewrites:
   before it went to arrays: one dict entry per vertex pair, replaced
   only by a strictly larger margin, and one set membership test per ball
   vertex.
+- `kdtree_close_pairs` and `kdtree_balls`, the periodic kd-tree that
+  `Torus.close_pairs` replaced, as pair and ball queries on the wrapped
+  points.
 - `loop_build_edges`, `loop_place_anchors` and `loop_generate`, graph
   synthesis before it went to lists and batches: one numpy degree lookup
   per candidate pair, one anchor draw measured against every kept anchor
@@ -188,16 +191,27 @@ def greedy_edges_reference(points, d, beta, s):
     return edges
 
 
+def kdtree_close_pairs(points, s, radius):
+    """The (N, 2) pairs i < j of the periodic kd-tree's pair query."""
+    tree = cKDTree(Torus(s).wrap(points), boxsize=s)
+    return tree.query_pairs(radius, output_type="ndarray").reshape(-1, 2)
+
+
+def kdtree_balls(points, s, radius):
+    """Each point's list of the points within `radius`, itself included,
+    from the periodic kd-tree's ball query."""
+    pts = Torus(s).wrap(points)
+    return cKDTree(pts, boxsize=s).query_ball_point(pts, radius)
+
+
 def loop_build_edges(points, d, beta, torus):
     """The earlier `build_edges`: the same candidate order, then one numpy
-    degree lookup per candidate pair."""
+    degree lookup per candidate pair.  Its pairs come from the periodic
+    kd-tree, and fully tied pairs go in order of their vertex ids."""
     P = np.asarray(points, dtype=float)
     n = len(P)
     s = torus.s
-    wrapped = np.mod(P, s)
-    wrapped[wrapped >= s] = 0.0
-    pairs = cKDTree(wrapped, boxsize=s).query_pairs(
-        r=beta, output_type="ndarray").reshape(-1, 2)
+    pairs = kdtree_close_pairs(P, s, beta)
     if len(pairs) == 0:
         return sp.csr_matrix((n, n), dtype=np.int8)
     dd = torus.delta(P[pairs[:, 0]], P[pairs[:, 1]])
@@ -212,7 +226,8 @@ def loop_build_edges(points, d, beta, torus):
     delta[flip] *= -1.0
     dx_key = np.round(delta[:, 0] / tol).astype(np.int64)
     dy_key = np.round(delta[:, 1] / tol).astype(np.int64)
-    order = np.lexsort((lo[:, 1], lo[:, 0], dy_key, dx_key, dist_key))
+    order = np.lexsort((pairs[:, 1], pairs[:, 0], lo[:, 1], lo[:, 0], dy_key,
+                        dx_key, dist_key))
     deg = np.zeros(n, dtype=int)
     rows, cols = [], []
     for idx in order:

@@ -52,6 +52,104 @@ def test_torus_distance_symmetry_and_triangle():
         assert dab <= t.distance(a, c) + t.distance(c, b) + 1e-12
 
 
+def _pair_list(pairs):
+    return sorted(map(tuple, np.asarray(pairs).tolist()))
+
+
+@st.composite
+def pair_inputs(draw):
+    """Points on a torus of side s and a radius: uniform points at any
+    radius up to past s/sqrt(2) and at inf; lattice points of pitch s/m
+    at whole pitches or whole diagonals, so that pairs lie exactly at the
+    radius; repeated points at radius 0 or near it; and points a hair
+    below s across the seam from points at 0.  From 0 points on."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = draw(st.floats(1.0, 30.0))
+    n = draw(st.integers(0, 150))
+    kind = draw(st.sampled_from(["uniform", "lattice", "repeated", "seam"]))
+    if kind == "uniform":
+        pts = rng.uniform(0.0, s, (n, 2))
+        radius = draw(st.one_of(st.floats(0.0, s), st.just(s / math.sqrt(2)),
+                                st.just(math.inf)))
+    elif kind == "lattice":
+        m = draw(st.integers(1, 12))
+        pts = rng.integers(0, m, (n, 2)) * (s / m)
+        radius = (draw(st.integers(0, m)) * s / m
+                  * draw(st.sampled_from([1.0, math.sqrt(2)])))
+    elif kind == "repeated":
+        pool = rng.uniform(0.0, s, (draw(st.integers(1, 8)), 2))
+        pts = pool[rng.integers(0, len(pool), n)]
+        radius = draw(st.sampled_from([0.0, 1e-12, 0.3 * s]))
+    else:
+        below = np.nextafter(s, 0.0)
+        pts = rng.choice([0.0, below, 0.5 * s, rng.uniform(0.0, s)], (n, 2))
+        radius = draw(st.floats(0.0, 0.75 * s))
+    return pts, s, radius
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(pair_inputs())
+def test_close_pairs_match_the_periodic_kdtree(inputs):
+    """The cell grid returns the kd-tree's pair set, each pair once and
+    as i < j."""
+    pts, s, radius = inputs
+    got = geo.Torus(s).close_pairs(pts, radius)
+    assert got.shape == (len(got), 2) and (got[:, 0] < got[:, 1]).all()
+    assert _pair_list(got) == _pair_list(oracles.kdtree_close_pairs(pts, s, radius))
+
+
+def test_close_pairs_on_grids_of_one_and_two_cells(monkeypatch):
+    """A grid 1 or 2 cells a side repeats its stencil cells, and at 2
+    every neighbour is its own mirror; each pair still comes once.  The
+    lattice's pairs lie exactly at each radius."""
+    sides = []
+    stencil = geo._stencil
+    monkeypatch.setattr(geo, "_stencil", lambda g: sides.append(g) or stencil(g))
+    lattice = np.argwhere(np.ones((10, 10))).astype(float)
+    uniform = np.random.default_rng(5).uniform(0.0, 10.0, (300, 2))
+    for pts in (uniform, lattice, lattice[:3]):
+        for radius in (2.0, 3.0, 4.0, 5.0, 6.0):
+            got = geo.Torus(10.0).close_pairs(pts, radius)
+            assert _pair_list(got) == _pair_list(
+                oracles.kdtree_close_pairs(pts, 10.0, radius))
+    assert {1, 2, 3} <= set(sides)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 500])
+def test_close_pairs_in_small_chunks(monkeypatch, chunk):
+    """Candidates measured a few at a time, with rows longer than a chunk,
+    give the pairs measured all at once."""
+    monkeypatch.setattr(geo, "_PAIR_CHUNK", chunk)
+    lattice = np.argwhere(np.ones((10, 10))).astype(float)
+    uniform = np.random.default_rng(6).uniform(0.0, 10.0, (200, 2))
+    for pts in (uniform, lattice):
+        for radius in (1.0, 2.5, 6.0):
+            assert _pair_list(geo.Torus(10.0).close_pairs(pts, radius)) == \
+                _pair_list(oracles.kdtree_close_pairs(pts, 10.0, radius))
+
+
+def test_close_pairs_at_radius_zero_and_infinity():
+    """Radius 0 pairs the coincident points only, inf every two."""
+    t = geo.Torus(10.0)
+    pts = [[1.0, 1.0], [3.0, 3.0], [1.0, 1.0], [9.5, 0.0], [1.0, 1.0]]
+    assert _pair_list(t.close_pairs(pts, 0.0)) == [(0, 2), (0, 4), (2, 4)]
+    assert _pair_list(t.close_pairs(pts, math.inf)) == [
+        (i, j) for i in range(5) for j in range(i + 1, 5)]
+
+
+@pytest.mark.parametrize("radius", [-1.0, -1e-300, math.nan])
+def test_close_pairs_refuses_a_negative_or_nan_radius(radius):
+    """The kd-tree took radius -1.0 as 1.0 and NaN as no pair at all."""
+    with pytest.raises(ValueError, match=f"radius must be nonnegative, got {radius}"):
+        geo.Torus(10.0).close_pairs([[1.0, 1.0], [1.5, 1.0]], radius)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_close_pairs_refuses_a_non_finite_point(bad):
+    with pytest.raises(ValueError, match="points must be finite"):
+        geo.Torus(10.0).close_pairs([[1.0, 1.0], [bad, 1.0]], 1.0)
+
+
 def test_matching_distance_simple():
     F = [(0, 0), (1, 0)]
     H = [(0, 0.1), (1, 0)]

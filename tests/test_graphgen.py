@@ -383,6 +383,22 @@ def test_build_edges_matches_loop(inputs):
             == _csr_state(oracles.loop_build_edges(pts, d, beta, torus)))
 
 
+def test_build_edges_breaks_full_ties_by_vertex_ids():
+    """The 5 x 5 integer lattice on a torus of side 5 at d = 1, beta = 1:
+    every pair is 1 apart, and a pair across the seam ties on every
+    geometric key with the pair beside it that shares its lower point, so
+    the vertex ids decide.  The wiring equals the loop oracle's and the
+    greedy reference's, whatever order the pairs come in."""
+    pts = np.argwhere(np.ones((5, 5))).astype(float)
+    torus = Torus(5.0)
+    adj = gg.build_edges(pts, 1, 1.0, torus)
+    assert _csr_state(adj) == _csr_state(oracles.loop_build_edges(pts, 1, 1.0, torus))
+    pairs = torus.close_pairs(pts, 1.0)
+    assert _csr_state(gg.build_edges(pts, 1, 1.0, torus, pairs[::-1])) == _csr_state(adj)
+    got = {(int(u), int(v)) for u, v in zip(*adj.nonzero()) if u < v}
+    assert got == oracles.greedy_edges_reference(pts, 1, 1.0, 5.0)
+
+
 @st.composite
 def anchor_inputs(draw):
     """A torus side, a one-point plant spec whose anchors fit (their

@@ -190,6 +190,21 @@ def test_parse_config_refuses_a_plant_count_below_one(line, message):
         "theta = 0.2", "theta = 0.2, 0.05\nthreshold = 0.1")).threshold == 0.1
 
 
+def test_config_refuses_a_w_below_the_pitch_at_every_point():
+    """`w = 0.03` under eps 0.06 once skipped every point ("w must be at
+    least eps") and returned no record; it is refused with the smallest
+    snapped pitch.  A w that one swept p admits still parses: unset, eps
+    is 1/ln p, 0.244 at p = 60 and 0.132 at p = 2000, before snapping."""
+    with pytest.raises(ValueError, match="w = 0.03 is below the lattice pitch "
+                                         "at every p: the smallest is 0.06"):
+        harness.parse_config(tuned_config().replace("w = 0.12", "w = 0.03"))
+    text = tuned_config().replace("eps = 0.06\n", "").replace(
+        "p = 60", "p = 60, 2000").replace("w = 0.12", "w = 0.2")
+    assert harness.parse_config(text).w == 0.2
+    with pytest.raises(ValueError, match="the smallest is 0.13"):
+        harness.parse_config(text.replace("w = 0.2", "w = 0.1"))
+
+
 def test_config_rejects_coupling_violation():
     text = tuned_config().replace("theta = 0.2", "theta = 0.25, 0.3")
     with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
 """Static checks: every name a geoggm module imports is referenced in it,
 every parameter of a geoggm function is referenced in its body, and every
 private module-level name is read somewhere in `src/` outside its own
-definition.
+definition.  One check runs: importing geoggm leaves `scipy.spatial`
+unloaded.
 
 No linter ships with the project, so this walks each module's syntax tree
 with the standard library.  For imports, `__init__.py` is skipped (its
@@ -9,7 +10,10 @@ imports are re-exports) and `from __future__` imports are exempt; for
 parameters, `self` and `cls` are exempt.
 """
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -140,3 +144,15 @@ def test_unreferenced_private_names_checker():
 def test_no_unreferenced_private_names():
     sources = {p.stem: p.read_text() for p in ALL_MODULES}
     assert unreferenced_private_names(sources) == []
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    """Neighbour queries run on a numpy cell grid, so a fresh interpreter
+    that imports the package, its harness and its CLI has not loaded
+    `scipy.spatial` and does not pay for it."""
+    code = ("import sys, geoggm, geoggm.harness, geoggm.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
-from scipy.spatial import cKDTree
 
 from geoggm import gmrf, harness
 from geoggm import graphgen as gg
@@ -362,7 +361,7 @@ def separation_inputs(draw):
     """Centers on a torus of whole side m: on the whole-number lattice
     (pairs exactly w apart), uniform, or crowded about the corner where
     both seams meet; w whole or not, from below the lattice spacing to
-    the side, so also past s/sqrt(2), where every pair is a kd-tree
+    the side, so also past s/sqrt(2), where every pair is a `close_pairs`
     candidate."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = draw(st.integers(2, 24))
@@ -382,7 +381,7 @@ def separation_inputs(draw):
 @settings(max_examples=300, deadline=None, database=None)
 @given(separation_inputs())
 def test_greedy_separated_matches_scan(inputs):
-    """The kd-tree candidates accept what measuring against every
+    """The `close_pairs` candidates accept what measuring against every
     accepted center accepts."""
     centers, torus, w = inputs
     copies = _single_node_copies(centers, torus)
@@ -431,7 +430,7 @@ def test_close_pairs_match_ball_queries(inputs):
     pts, s, beta = inputs
     p = len(pts)
     codes, sizes = sel._close_pairs(Torus(s).close_pairs(pts, beta), p)
-    balls = cKDTree(pts, boxsize=s).query_ball_point(pts, beta)
+    balls = oracles.kdtree_balls(pts, s, beta)
     assert sizes.tolist() == [len(b) for b in balls]
     assert codes.tolist() == sorted(
         u * p + v for u, b in enumerate(balls) for v in b if u < v) + [p * p]
@@ -505,9 +504,9 @@ def test_graph_without_carried_pairs_selects_the_same(tmp_path, monkeypatch):
 
 
 def test_selection_takes_a_coordinate_just_below_zero(tmp_path):
-    """np.mod(-1e-20, s) is s itself, which the periodic kd-tree of the
-    beta-balls rejects; the wrap maps it to 0, so a graph file with that
-    coordinate selects as the same graph with the coordinate 0."""
+    """np.mod(-1e-20, s) is s itself, outside the torus the beta-balls are
+    found on; the wrap maps it to 0, so a graph file with that coordinate
+    selects as the same graph with the coordinate 0."""
     graph, eps, _ = plantcfg.grid_plant_graph(p=100, theta=0.11, seed=2)
     params = plantcfg.grid_plant_selector_params(0.11, eps)
     v = int(np.argmin(graph.points[:, 0]))
@@ -721,11 +720,10 @@ def test_candidate_squares_overlap_with_detected_allowed(monkeypatch):
     params = sel.SelectorParams(r=5, eps=0.3, w=1.0, theta=0.1)
     report = sel.run_selection(graph, params, exact_cov=True)
 
-    s = graph.torus.s
-    tree = cKDTree(np.mod(graph.points, s), boxsize=s)
+    balls = oracles.kdtree_balls(graph.points, graph.torus.s, graph.params.beta)
 
     def ball(v):
-        return set(tree.query_ball_point(graph.points[v] % s, graph.params.beta))
+        return set(balls[v])
 
     hopeless = {v for v in range(graph.p) if len(ball(v)) > params.r}
     decided: set = set()
@@ -1328,9 +1326,7 @@ def test_run_selection_stops_when_only_hopeless_vertices_remain(
     decided.  The scan stops once every other vertex is (here after the
     first window), and is never drawn when there is no other vertex."""
     graph, params, kwargs = case()
-    pts = graph.torus.wrap(graph.points)
-    balls = cKDTree(pts, boxsize=graph.torus.s).query_ball_point(
-        pts, graph.params.beta)
+    balls = oracles.kdtree_balls(graph.points, graph.torus.s, graph.params.beta)
     hopeless = [v for v, ball in enumerate(balls) if len(ball) > params.r]
     scan, yielded = sel._candidate_squares, []
 
