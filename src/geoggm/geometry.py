@@ -7,7 +7,6 @@ vertex sets onto a regular lattice.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -19,18 +18,8 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 _PAIR_CHUNK = 1 << 18
 
 
-@functools.lru_cache(maxsize=64)
-def _stencil(g: int) -> np.ndarray:
-    """Read-only (3, K, 1) rows da, db and mirror: the cell offsets mod g
-    that with their mirrors reach a cell of a g x g periodic grid and its
-    eight neighbours, and 1 where an offset is its own mirror ((0, 0)
-    always, every offset when g = 2).  Such a cell gives only its later
-    points, so each pair is met once."""
-    da, db = np.array(list(dict.fromkeys(
-        (a % g, b % g) for a, b in ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1))))).T
-    rows = np.stack([da, db, (2 * da % g == 0) & (2 * db % g == 0)])[:, :, None]
-    rows.setflags(write=False)
-    return rows
+# the half stencil: (row, col) offset columns of a cell and four neighbours
+_HALF_STENCIL = np.array([(0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]).T[:, :, None]
 
 
 class CollisionError(ValueError):
@@ -88,16 +77,18 @@ class Torus:
         (Teschner et al., VMV 2003), each a hair wider than `radius` and no
         more cells than points, so a close pair lies in one cell or in two
         neighbouring ones.  Each point meets the later points of its own
-        cell and every point of four neighbour cells, a half stencil that
-        with its mirror reaches all eight; where the grid is 2 cells wide a
-        neighbour is its own mirror and also gives only later points.  The
+        cell and every point of four neighbour cells, a half stencil: the
+        other four meet it from their side.  A grid narrower than 3 cells,
+        where every cell neighbours every other, is taken as one cell.  The
         candidates go through the distance rule in chunks of at most about
         `_PAIR_CHUNK`, so memory follows the points and the pairs kept.
         The pairs come in stencil, then cell order, not sorted.
         """
         if not radius >= 0:
             raise ValueError(f"radius must be nonnegative, got {radius}")
-        X = np.asarray(points, dtype=float).reshape(-1, 2)
+        X = np.asarray(points, dtype=float)
+        if (X.ndim != 2 or X.shape[1] != 2) and X.size:
+            raise ValueError(f"points must be an (n, 2) array, got shape {X.shape}")
         n, s = len(X), self.s
         if n < 2:
             return np.empty((0, 2), dtype=np.intp)
@@ -106,7 +97,8 @@ class Torus:
                 raise ValueError("points must be finite")
             X = self.wrap(X)
         per_side = s / (radius * (1 + 1e-9)) if radius else math.inf
-        g = max(1, int(min(math.isqrt(n), per_side)))
+        g = int(min(math.isqrt(n), per_side))
+        g = g if g >= 3 else 1
         cell = (X * (g / s)).astype(np.intp)
         np.minimum(cell, g - 1, out=cell)
         # sorting code * n + index groups the points by cell, stably
@@ -115,13 +107,13 @@ class Torus:
         start = np.searchsorted(code, np.arange(g * g + 1))
         xs, ys = X[order].T
         cx, cy = np.divmod(code, g)
-        da, db, mirror = _stencil(g)
-        # row (k, q) pairs sorted point q with the points at sorted
-        # positions [lo, lo + count) in the k-th stencil cell of its own
-        nb = (cx + da) % g * g + (cy + db) % g
-        lo = np.maximum(start[nb], mirror * np.arange(1, n + 1)).ravel()
-        count = start[nb + 1].ravel() - lo
-        np.maximum(count, 0, out=count)
+        da, db = _HALF_STENCIL if g > 1 else _HALF_STENCIL[:, :1]
+        # row (k, q) pairs sorted point q with the sorted positions [lo, lo +
+        # count) of its k-th stencil cell, the points after q in its own cell
+        nb = ((cx + da) % g * g + (cy + db) % g).ravel()
+        lo = start[nb]
+        lo[:n] = np.arange(1, n + 1)
+        count = start[nb + 1] - lo
         end = np.cumsum(count)
         cuts = np.searchsorted(end, range(_PAIR_CHUNK, end[-1], _PAIR_CHUNK),
                                side="right").tolist()
@@ -156,6 +148,8 @@ class Torus:
         pairs, in order of their later point, drop it where the earlier is
         kept.
         """
+        if not sep >= 0:
+            raise ValueError(f"sep must be nonnegative, got {sep}")
         X = np.asarray(points, dtype=float)
         i, j = self.close_pairs(X, sep + 1e-9 * self.s).T
         hit = self.distance(X[j], X[i]) < sep
@@ -393,8 +387,8 @@ def quantize(graph, eps: float) -> Lattice:
     """
     torus = graph.torus
     s = torus.s
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     m_float = s / eps
     m = int(round(m_float))
     if m < 1 or abs(m_float - m) > 1e-9 * max(1.0, m_float):

@@ -422,12 +422,13 @@ def run_selection(
     With `exact_cov` the population covariance of `model` (assembled from
     the graph and its own theta if omitted) replaces the pooled sample
     covariance, and `samples` are refused; otherwise `samples` drawn from
-    the graph's model are pooled.  A vertex is marked decided only when all
-    its potential neighbors (the beta-ball around it) were examined jointly
-    with it, so every edge of a decided vertex has been explicitly ruled in
-    or out.  Conflicting edge decisions keep the larger detection margin;
-    on equal margins the earliest decision stays.  `conflicting_pairs`
-    counts the pairs with disagreeing decisions.
+    the graph's model are pooled, and `model` is refused.  A vertex is
+    marked decided only when all its potential neighbors (the beta-ball
+    around it) were examined jointly with it, so every edge of a decided
+    vertex has been explicitly ruled in or out.  Conflicting edge
+    decisions keep the larger detection margin; on equal margins the
+    earliest decision stays.  `conflicting_pairs` counts the pairs with
+    disagreeing decisions.
 
     A vertex whose ball holds more than r vertices can never be decided,
     so it counts as settled from the start, and any other vertex once it
@@ -446,6 +447,8 @@ def run_selection(
             raise ValueError("model dimension disagrees with the graph")
         if samples is not None:
             raise ValueError("samples are not read when exact_cov is set")
+    elif model is not None:
+        raise ValueError("model is not read unless exact_cov is set")
     elif samples is None:
         raise ValueError("need samples unless exact_cov is set")
     elif samples.p != p:

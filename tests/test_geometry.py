@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -98,13 +99,13 @@ def test_close_pairs_match_the_periodic_kdtree(inputs):
     assert _pair_list(got) == _pair_list(oracles.kdtree_close_pairs(pts, s, radius))
 
 
-def test_close_pairs_on_grids_of_one_and_two_cells(monkeypatch):
-    """A grid 1 or 2 cells a side repeats its stencil cells, and at 2
-    every neighbour is its own mirror; each pair still comes once.  The
-    lattice's pairs lie exactly at each radius."""
-    sides = []
-    stencil = geo._stencil
-    monkeypatch.setattr(geo, "_stencil", lambda g: sides.append(g) or stencil(g))
+def test_close_pairs_on_grids_of_one_and_two_cells():
+    """A grid narrower than 3 cells is taken as one cell; each pair still
+    comes once.  On side 10 the 300 uniform points (and the 100 lattice
+    points) lie on a grid of 4 cells a side at radius 2 and of 3 at
+    radius 3; radius 4, the only radius that gave a grid 2 cells wide, and
+    radii 5 and 6 give one cell, as do the 3 lattice points at every
+    radius.  The lattice's pairs lie exactly at each radius."""
     lattice = np.argwhere(np.ones((10, 10))).astype(float)
     uniform = np.random.default_rng(5).uniform(0.0, 10.0, (300, 2))
     for pts in (uniform, lattice, lattice[:3]):
@@ -112,7 +113,6 @@ def test_close_pairs_on_grids_of_one_and_two_cells(monkeypatch):
             got = geo.Torus(10.0).close_pairs(pts, radius)
             assert _pair_list(got) == _pair_list(
                 oracles.kdtree_close_pairs(pts, 10.0, radius))
-    assert {1, 2, 3} <= set(sides)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 500])
@@ -148,6 +148,26 @@ def test_close_pairs_refuses_a_negative_or_nan_radius(radius):
 def test_close_pairs_refuses_a_non_finite_point(bad):
     with pytest.raises(ValueError, match="points must be finite"):
         geo.Torus(10.0).close_pairs([[1.0, 1.0], [bad, 1.0]], 1.0)
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (8,), (2, 2, 2)])
+def test_close_pairs_refuses_points_that_are_not_n_by_2(shape):
+    """A (4, 3) array was read as six points, giving pairs up to index 5."""
+    pts = np.random.default_rng(0).uniform(0.0, 10.0, shape)
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        geo.Torus(10.0).close_pairs(pts, 3.0)
+
+
+def test_close_pairs_of_an_empty_list():
+    """The shape check lets an empty list through as no points."""
+    assert geo.Torus(10.0).close_pairs([], 3.0).shape == (0, 2)
+
+
+@pytest.mark.parametrize("sep", [-1.0, math.nan])
+def test_separated_refuses_a_negative_or_nan_sep(sep):
+    """-1.0 was reported as the radius -0.99999999 it gave close_pairs."""
+    with pytest.raises(ValueError, match=f"sep must be nonnegative, got {sep}"):
+        geo.Torus(10.0).separated([[1.0, 1.0], [1.5, 1.0]], sep)
 
 
 def test_matching_distance_simple():
@@ -420,6 +440,13 @@ def test_lattice_lookup_matches_dense_grid(m, density, seed):
     assert (lat.lookup(*np.indices((m, m))) == grid).all()
     i, j = rng.integers(-3 * m, 3 * m, size=(2, 500))
     assert (lat.lookup(i, j) == grid[i % m, j % m]).all()
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.5, math.nan, math.inf])
+def test_quantize_refuses_eps_by_name(eps):
+    """NaN raised "cannot convert float NaN to integer"."""
+    with pytest.raises(ValueError, match=f"eps must be positive and finite, got {eps}"):
+        geo.quantize(PointCloud([(1, 1)], 10.0), eps)
 
 
 def test_quantize_requires_divisible_side():

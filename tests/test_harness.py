@@ -288,7 +288,8 @@ def test_experiment_deterministic_csv(tmp_path):
     r2 = harness.run_experiment(cfg)
     _, s1 = harness.emit_outputs(r1, tmp_path / "a")
     _, s2 = harness.emit_outputs(r2, tmp_path / "b")
-    assert open(s1, "rb").read() == open(s2, "rb").read()
+    with open(s1, "rb") as a, open(s2, "rb") as b:
+        assert a.read() == b.read()
 
 
 def test_summary_rows_sorted(tmp_path):

@@ -1101,6 +1101,16 @@ def test_run_selection_requires_samples_or_exact():
         sel.run_selection(graph, params, samples=other.sample(2, seed=0))
 
 
+def test_run_selection_refuses_a_model_without_exact_cov():
+    """A model beside pooled samples was once ignored without a word."""
+    graph, eps, _ = plantcfg.grid_plant_graph(p=100, theta=0.11, seed=15)
+    params = plantcfg.grid_plant_selector_params(0.11, eps)
+    model = gmrf.assemble_precision(graph.adjacency, 0.11, graph.params.d)
+    with pytest.raises(ValueError, match="model is not read unless exact_cov"):
+        sel.run_selection(graph, params, samples=model.sample(10, seed=0),
+                          model=model)
+
+
 @pytest.mark.parametrize("theta, threshold, edges", [
     (0.2, 0.15, 0), (0.0, 0.05, 100)], ids=["above", "zero"])
 def test_exact_cov_without_model_uses_the_graph_theta(theta, threshold, edges):
