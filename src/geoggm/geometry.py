@@ -146,11 +146,13 @@ class Torus:
         the exact distance from the later point to the earlier one decides
         each (a pair exactly `sep` apart does not clash), and the clashing
         pairs, in order of their later point, drop it where the earlier is
-        kept.
+        kept.  No points keep none.
         """
         if not sep >= 0:
             raise ValueError(f"sep must be nonnegative, got {sep}")
         X = np.asarray(points, dtype=float)
+        if not X.size:
+            return []
         i, j = self.close_pairs(X, sep + 1e-9 * self.s).T
         hit = self.distance(X[j], X[i]) < sep
         order = np.argsort(j[hit], kind="stable")
@@ -354,19 +356,34 @@ class Lattice:
         at = np.searchsorted(self.codes, want)
         return np.where(self.codes[at] == want, self.vertices[at], -1)
 
-    def tiled_block(self, i0: int, rows: int, cols: int) -> np.ndarray:
-        """The rows x cols block of the 2 x 2 tiled lattice from node
-        (i0, 0), i0 < m, as int32 vertex ids, -1 on empty nodes (i0 + rows
-        and cols at most 2m).  Only the vertices in the block's rows are
-        read: one code range before the seam and, past it, one after."""
-        m = self.m
-        cells = np.full((rows, m), -1, dtype=np.int32)
+    def band(self, i0: int, rows: int):
+        """The occupied nodes in rows [i0, i0 + rows) of the 2 x 2 tiled
+        lattice, i0 < m and i0 + rows at most 2m, as three arrays: each
+        node's row from i0, its column (below m) and its vertex, row-major.
+        Only the vertices in those rows are read: one code range before the
+        seam and, past it, one after."""
+        m, parts = self.m, []
         for base in range(0, i0 + rows, m):
             lo, hi = np.clip((i0 - base, i0 + rows - base), 0, m)
             at = slice(*np.searchsorted(self.codes, (lo * m, hi * m)))
             a, b = np.divmod(self.codes[at], m)
-            cells[a + base - i0, b] = self.vertices[at]
-        return np.hstack((cells, cells[:, :cols - m]))
+            parts.append((a + base - i0, b, self.vertices[at]))
+        return tuple(map(np.concatenate, zip(*parts)))
+
+    def tiled_block(self, i0: int, rows: int, cols) -> np.ndarray:
+        """The block of the 2 x 2 tiled lattice over rows [i0, i0 + rows)
+        and the increasing tiled columns `cols` (each below 2m), laid side
+        by side, as int32 vertex ids, -1 on empty nodes.  Only the
+        vertices in the block's rows are read (`band`); each lands at most
+        twice, in its column and in its column + m."""
+        a, b, v = self.band(i0, rows)
+        cols = np.asarray(cols, dtype=np.int64)
+        cells = np.full((rows, len(cols)), -1, dtype=np.int32)
+        for c in (b, b + self.m):
+            at = np.searchsorted(cols, c)
+            hit = np.append(cols, -1)[at] == c
+            cells[a[hit], at[hit]] = v[hit]
+        return cells
 
 
 def snap_eps(eps: float, s: float) -> float:

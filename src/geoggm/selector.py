@@ -242,16 +242,21 @@ def _candidate_squares(lattice: Lattice, r: int, k_cap: int, settled):
     vertices is not `settled`, a live mask the caller may extend in place.
 
     The scan goes one band of K = min(k_cap, m) anchor rows at a time and
-    yields a band's windows before it reads the next, so a caller that
-    stops early pays for the rows it reached times m, not for the m x m
-    lattice.  A band counts windows exactly, by inclusion-exclusion on two
-    prefix tables (occupied cells; cells of unsettled vertices) over its
-    own nb + K - 1 rows of the 2 x 2 tiled lattice and the m + K - 1
-    columns a window reaches.  It keeps the anchors whose K-window holds r
-    vertices, one unsettled, and finds their k by binary lifting: from K,
-    step down by each power of two, largest first, wherever the smaller
-    window still holds r.  Counts grow with k from 0 at k = 0, so this is
-    exact in about log2 K numpy calls.
+    yields a band's windows before it reads the next.  A band reads the
+    vertices in its nb + K - 1 rows of the 2 x 2 tiled lattice and keeps
+    an anchor column j only if the tiled columns [j, j + K), which hold
+    every window anchored there, hold r vertices, one unsettled.  It
+    builds only the columns that the kept anchors' K-windows reach, side
+    by side, and nothing when it keeps none.  A band without r vertices,
+    or without a live one, stops after reading them, so the scan's memory
+    and time follow the occupied nodes (plus O(m) column sums per band
+    with a live vertex), not the m x m cells.  There it counts windows
+    exactly, by inclusion-exclusion on two prefix tables (occupied cells;
+    cells of unsettled vertices), keeps the anchors whose K-window holds
+    r vertices, one unsettled, and finds their k by binary lifting: from
+    K, step down by each power of two, largest first, wherever the
+    smaller window still holds r.  Counts grow with k from 0 at k = 0, so
+    this is exact in about log2 K numpy calls.
     """
     m = lattice.m
     K = min(k_cap, m)
@@ -259,17 +264,36 @@ def _candidate_squares(lattice: Lattice, r: int, k_cap: int, settled):
     def box(T, i, j, k):
         return T[i + k, j + k] - T[i, j + k] - T[i + k, j] + T[i, j]
 
+    def strips(b):  # the vertices in each tiled strip [j, j + K), j < m
+        col = np.bincount(b, minlength=m)
+        C = np.cumsum(np.r_[0, col, col[:K - 1]])
+        return C[K:] - C[:m]
+
     for i0 in range(0, m, K):
         nb = min(K, m - i0)
-        cells = lattice.tiled_block(i0, nb + K - 1, m + K - 1)
+        _, b, v = lattice.band(i0, nb + K - 1)
+        live = ~settled[v]
+        if len(v) < r or not live.any():
+            continue
+        anchors = np.flatnonzero((strips(b) >= r) & (strips(b[live]) > 0))
+        if not len(anchors):
+            continue
+        # the tiled columns c with an anchor in (c - K, c]
+        reach = np.zeros(m + K, dtype=int)
+        reach[anchors] += 1
+        reach[anchors + K] -= 1
+        cols = np.flatnonzero(np.cumsum(reach[:-1]))
+        cells = lattice.tiled_block(i0, nb + K - 1, cols)
         occupied = cells >= 0
         P, Q = (np.pad(c.cumsum(0, dtype=np.int32).cumsum(1, dtype=np.int32),
                        ((1, 0), (1, 0)))
                 for c in (occupied, occupied & ~settled[cells]))
-        # every anchor's K-window count, from four slices
-        i, j = np.nonzero(
-            (P[K:, K:] - P[:nb, K:] - P[K:, :m] + P[:nb, :m] >= r)
-            & (Q[K:, K:] - Q[:nb, K:] - Q[K:, :m] + Q[:nb, :m] > 0))
+        # every kept anchor's K-window count, from four slices
+        t = np.searchsorted(cols, anchors)
+        i, n = np.nonzero(
+            (P[K:, t + K] - P[:nb, t + K] - P[K:, t] + P[:nb, t] >= r)
+            & (Q[K:, t + K] - Q[:nb, t + K] - Q[K:, t] + Q[:nb, t] > 0))
+        j = t[n]
         k = np.full(len(i), K)
         for step in 2 ** np.arange(K.bit_length())[::-1]:
             down = np.maximum(k - step, 0)
@@ -279,7 +303,7 @@ def _candidate_squares(lattice: Lattice, r: int, k_cap: int, settled):
             window = cells[i:i + k, j:j + k]
             ids = window[window >= 0]
             if not settled[ids].all():
-                yield i0 + i, j, k, sorted(ids.tolist())
+                yield i0 + i, int(cols[j]), k, sorted(ids.tolist())
 
 
 def _window_template(lattice: Lattice, ids, i0: int, j0: int):

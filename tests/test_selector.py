@@ -805,8 +805,9 @@ def scan_inputs(draw):
     """A random occupancy of an m x m unit lattice, sparse or dense, with
     m up to 220 (several bands), r in 2..8, k_cap below m, or at or above
     it for m <= 40 (a k_cap of m makes one band: larger m adds only time),
-    and a settled mask over none, about half, most or all but one of the
-    vertices."""
+    and a settled mask over none, about half or most of the vertices, all
+    but 1 to 3 of them, or every vertex but about half of those within
+    K = min(k_cap, m) rows or columns of the seam."""
     m = draw(st.one_of(st.integers(1, 40), st.integers(100, 220)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     occupied = rng.random((m, m)) < draw(st.sampled_from([0.02, 0.1, 0.5, 0.9]))
@@ -817,9 +818,17 @@ def scan_inputs(draw):
     if m <= 40:
         k_caps += [st.just(m), st.integers(m + 1, m + 5)]
     k_cap = draw(st.one_of(*k_caps))
-    density = draw(st.sampled_from([0.0, 0.5, 0.9, None]))
-    settled = (_all_but_one(len(nodes), rng) if density is None
-               else rng.random(len(nodes)) < density)
+    mask = draw(st.sampled_from([0.0, 0.5, 0.9, "few", "seam"]))
+    if mask == "few":
+        settled = np.ones(len(nodes), bool)
+        live = min(len(nodes), draw(st.integers(1, 3)))
+        settled[rng.choice(len(nodes), live, replace=False)] = False
+    elif mask == "seam":
+        K = min(k_cap, m)
+        near = ((nodes < K) | (nodes >= m - K)).any(axis=1)
+        settled = ~near | (rng.random(len(nodes)) < 0.5)
+    else:
+        settled = rng.random(len(nodes)) < mask
     return lattice, draw(st.integers(2, 8)), k_cap, settled
 
 
@@ -975,6 +984,39 @@ def test_quantize_and_first_window_memory_on_a_fine_lattice():
     assert len(nodes) == 20_000 and lattice.m == m
     assert first == (0, 0, 7, planted)
     assert peak < 32 * 2**20
+
+
+def test_candidate_squares_full_drain_memory():
+    """Draining the scan of an m = 19,072 lattice of 20,000 vertices with
+    2 live ones builds only the bands and columns their windows reach:
+    building every band's full-width tables peaks at about 20 MB of
+    traced memory here and takes about 17 s.  Each live vertex is a
+    corner of a planted square of side 17, one across the seam, with no
+    other vertex within 40 rows, so exactly four anchors per square hold
+    r = 4, and every window offered matches the brute scan."""
+    m = 19_072
+    rng = np.random.default_rng(1)
+    cells = rng.choice(m * m, size=20_200, replace=False)
+    nodes = [(i, j) for i, j in np.column_stack(np.divmod(cells, m)).tolist()
+             if (i + 40) % m > 80 and abs(i - 9008) > 40][:19_992]
+    for a, b in ((m - 8, m - 8), (9000, 500)):
+        nodes += [((a + x) % m, (b + y) % m) for x in (0, 16) for y in (0, 16)]
+    lattice, _ = _lattice_from_nodes(nodes, m)
+    settled = np.ones(len(nodes), bool)
+    settled[[19_992, 19_996]] = False
+    tracemalloc.start()
+    try:
+        got = list(sel._candidate_squares(lattice, 4, 18, settled))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(nodes) == 20_000
+    assert got == [(a + x, b + y, 17 + (x * y == 0), list(range(v, v + 4)))
+                   for a, b, v in ((8999, 499, 19_996), (m - 9, m - 9, 19_992))
+                   for x in (0, 1) for y in (0, 1)]
+    for i, j, k, ids in got:
+        assert ids == oracles.window_vertices_scan(nodes, m, i, j, k)
+    assert peak < 4 * 2**20
 
 
 def _exact_run(graph, eps, r_t, theta, **overrides):
