@@ -45,8 +45,8 @@ class Torus:
     s: float
 
     def __post_init__(self):
-        if not self.s > 0:
-            raise ValueError("torus side must be positive")
+        if not 0 < self.s < math.inf:
+            raise ValueError(f"torus side must be positive and finite, got {self.s}")
 
     def wrap(self, xy):
         """Map coordinates into the fundamental domain [0, s)^2."""
@@ -355,35 +355,6 @@ class Lattice:
         want = np.asarray(i, dtype=np.int64) % m * m + np.asarray(j) % m
         at = np.searchsorted(self.codes, want)
         return np.where(self.codes[at] == want, self.vertices[at], -1)
-
-    def band(self, i0: int, rows: int):
-        """The occupied nodes in rows [i0, i0 + rows) of the 2 x 2 tiled
-        lattice, i0 < m and i0 + rows at most 2m, as three arrays: each
-        node's row from i0, its column (below m) and its vertex, row-major.
-        Only the vertices in those rows are read: one code range before the
-        seam and, past it, one after."""
-        m, parts = self.m, []
-        for base in range(0, i0 + rows, m):
-            lo, hi = np.clip((i0 - base, i0 + rows - base), 0, m)
-            at = slice(*np.searchsorted(self.codes, (lo * m, hi * m)))
-            a, b = np.divmod(self.codes[at], m)
-            parts.append((a + base - i0, b, self.vertices[at]))
-        return tuple(map(np.concatenate, zip(*parts)))
-
-    def tiled_block(self, i0: int, rows: int, cols) -> np.ndarray:
-        """The block of the 2 x 2 tiled lattice over rows [i0, i0 + rows)
-        and the increasing tiled columns `cols` (each below 2m), laid side
-        by side, as int32 vertex ids, -1 on empty nodes.  Only the
-        vertices in the block's rows are read (`band`); each lands at most
-        twice, in its column and in its column + m."""
-        a, b, v = self.band(i0, rows)
-        cols = np.asarray(cols, dtype=np.int64)
-        cells = np.full((rows, len(cols)), -1, dtype=np.int32)
-        for c in (b, b + self.m):
-            at = np.searchsorted(cols, c)
-            hit = np.append(cols, -1)[at] == c
-            cells[a[hit], at[hit]] = v[hit]
-        return cells
 
 
 def snap_eps(eps: float, s: float) -> float:

@@ -39,12 +39,17 @@ class FamilyParams:
         if self.p < 1:
             raise ValueError("p must be positive")
         check_family(self.eta, self.beta, self.d)
-        if not (math.isfinite(self.theta) and self.theta >= 0):
-            raise ValueError(f"theta must be finite and nonnegative, got {self.theta}")
+        self.check_theta(self.theta)
         if self.d * self.theta >= 0.5:
             raise ValueError(f"d*theta = {self.d * self.theta} must be < 1/2")
         if self.beta >= 0.5 * self.s:
             raise ValueError("beta must be below half the torus side")
+
+    @staticmethod
+    def check_theta(theta: float):
+        """Refuse a coupling theta that is not finite and nonnegative."""
+        if not (math.isfinite(theta) and theta >= 0):
+            raise ValueError(f"theta must be finite and nonnegative, got {theta}")
 
     @property
     def s(self) -> float:

@@ -64,6 +64,15 @@ class ExperimentConfig:
         for name, values in (("eta", self.eta), ("beta", self.beta)):
             if len(values) > 1:
                 raise ValueError(f"{name} takes one value, got {values}")
+        eta, beta = self.eta[0], self.beta[0]
+        for d_val in self.d:
+            try:
+                bounds.check_family(eta, beta, d_val)
+            except ValueError as exc:
+                raise ValueError(
+                    f"eta = {eta}, beta = {beta}, d = {d_val}: {exc}") from None
+        for theta in self.theta:
+            FamilyParams.check_theta(theta)
         for name, least in (("n", 1), ("r", 2), ("k_cap", 1), ("plant_r", 1),
                             ("plant_count", 1), ("plant_grid", 1)):
             val = getattr(self, name)
@@ -80,9 +89,8 @@ class ExperimentConfig:
             raise ValueError(f"threshold must be positive, and below a positive "
                              f"theta: no theta in {self.theta} admits {thr}")
         # the pitch each point snaps to: a smaller w fails every point
-        eta = self.eta[0]
         pitches = [_pitch(self.eps, p, math.sqrt(p / eta))
-                   for p in self.p if p > 1 and eta > 0]
+                   for p in self.p if p > 1]
         if self.w is not None and pitches and self.w < min(pitches):
             raise ValueError(f"w = {self.w} is below the lattice pitch at every "
                              f"p: the smallest is {min(pitches)}")

@@ -232,6 +232,23 @@ def default_k_cap(r: int, eta: float, eps: float) -> int:
     return max(3, cap)
 
 
+def _tiled_corner(lattice: Lattice, M: int):
+    """The occupied nodes on the M x M corner of the 2 x 2 tiled lattice,
+    m <= M < 2m, as their sorted codes i * M + j and the vertex on each.
+    Every vertex sits at its node and at its copies m rows, m columns or
+    both on, where they fall below M: O(p + seam copies) entries."""
+    m = lattice.m
+    a, b = np.divmod(lattice.codes[:-1], m)
+    codes, v = a * M + b, lattice.vertices[:-1]
+    # a row's copies m columns on follow its own nodes, in order
+    near = b < M - m
+    at = np.searchsorted(codes, (a[near] + 1) * M)
+    codes, v = np.insert(codes, at, codes[near] + m), np.insert(v, at, v[near])
+    # the copies m rows on follow every row below m
+    n = np.searchsorted(codes, (M - m) * M)
+    return np.r_[codes, codes[:n] + m * M], np.r_[v, v[:n]]
+
+
 def _candidate_squares(lattice: Lattice, r: int, k_cap: int, settled):
     """Yield (i, j, k, ids) squares in row-major scan order.
 
@@ -241,11 +258,13 @@ def _candidate_squares(lattice: Lattice, r: int, k_cap: int, settled):
     `ids`, in increasing order.  A window is yielded only if one of its
     vertices is not `settled`, a live mask the caller may extend in place.
 
-    The scan goes one band of K = min(k_cap, m) anchor rows at a time and
-    yields a band's windows before it reads the next.  A band reads the
-    vertices in its nb + K - 1 rows of the 2 x 2 tiled lattice and keeps
-    an anchor column j only if the tiled columns [j, j + K), which hold
-    every window anchored there, hold r vertices, one unsettled.  It
+    Windows of K = min(k_cap, m) cells or fewer, anchored below m, lie on
+    the M x M corner of the 2 x 2 tiled lattice, M = m + K - 1, whose
+    occupied nodes `_tiled_corner` lists once.  The scan goes one band of
+    K anchor rows at a time and yields a band's windows before it reads
+    the next.  A band reads its nb + K - 1 rows, one slice of that list,
+    and keeps an anchor column j only if the columns [j, j + K), which
+    hold every window anchored there, hold r vertices, one unsettled.  It
     builds only the columns that the kept anchors' K-windows reach, side
     by side, and nothing when it keeps none.  A band without r vertices,
     or without a live one, stops after reading them, so the scan's memory
@@ -260,36 +279,42 @@ def _candidate_squares(lattice: Lattice, r: int, k_cap: int, settled):
     """
     m = lattice.m
     K = min(k_cap, m)
+    M = m + K - 1
+    codes, vertices = _tiled_corner(lattice, M)
 
     def box(T, i, j, k):
         return T[i + k, j + k] - T[i, j + k] - T[i + k, j] + T[i, j]
 
-    def strips(b):  # the vertices in each tiled strip [j, j + K), j < m
-        col = np.bincount(b, minlength=m)
-        C = np.cumsum(np.r_[0, col, col[:K - 1]])
+    def strips(b):  # the vertices in each strip of columns [j, j + K), j < m
+        C = np.cumsum(np.r_[0, np.bincount(b, minlength=M)])
         return C[K:] - C[:m]
 
     for i0 in range(0, m, K):
         nb = min(K, m - i0)
-        _, b, v = lattice.band(i0, nb + K - 1)
+        at = slice(*np.searchsorted(codes, (i0 * M, (i0 + nb + K - 1) * M)))
+        a, b = np.divmod(codes[at] - i0 * M, M)
+        v = vertices[at]
         live = ~settled[v]
         if len(v) < r or not live.any():
             continue
         anchors = np.flatnonzero((strips(b) >= r) & (strips(b[live]) > 0))
         if not len(anchors):
             continue
-        # the tiled columns c with an anchor in (c - K, c]
-        reach = np.zeros(m + K, dtype=int)
+        # the columns c with an anchor in (c - K, c], and their slots
+        reach = np.zeros(M + 1, dtype=int)
         reach[anchors] += 1
         reach[anchors + K] -= 1
-        cols = np.flatnonzero(np.cumsum(reach[:-1]))
-        cells = lattice.tiled_block(i0, nb + K - 1, cols)
+        inside = np.cumsum(reach[:-1]) > 0
+        cols, slot = np.flatnonzero(inside), np.cumsum(inside) - 1
+        cells = np.full((nb + K - 1, len(cols)), -1, dtype=np.int32)
+        hit = inside[b]
+        cells[a[hit], slot[b[hit]]] = v[hit]
         occupied = cells >= 0
         P, Q = (np.pad(c.cumsum(0, dtype=np.int32).cumsum(1, dtype=np.int32),
                        ((1, 0), (1, 0)))
                 for c in (occupied, occupied & ~settled[cells]))
         # every kept anchor's K-window count, from four slices
-        t = np.searchsorted(cols, anchors)
+        t = slot[anchors]
         i, n = np.nonzero(
             (P[K:, t + K] - P[:nb, t + K] - P[K:, t] + P[:nb, t] >= r)
             & (Q[K:, t + K] - Q[:nb, t + K] - Q[K:, t] + Q[:nb, t] > 0))
@@ -422,8 +447,6 @@ def _resolve_pairs(codes, margins, declared):
     order = np.argsort(codes, kind="stable")
     codes, declared = codes[order], declared[order]
     first = np.flatnonzero(np.diff(codes, prepend=-1))
-    if len(first) == len(codes):  # one row per code
-        return codes[declared], 0
     margins = margins[order]
     top = np.maximum.reduceat(margins, first)
     at_top = np.flatnonzero(margins == np.repeat(top, np.diff(first, append=len(codes))))

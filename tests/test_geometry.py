@@ -43,6 +43,16 @@ def test_torus_distance_antipodal():
     assert t.distance((0, 0), (5, 0)) == pytest.approx(5.0)
 
 
+@pytest.mark.parametrize("s", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_torus_refuses_a_side_by_name(s):
+    """An infinite side once made a torus on which `distance((0, 0),
+    (1, 0))` was NaN, `separated` kept two points 1 apart at sep 5, and
+    `close_pairs` paired them."""
+    with pytest.raises(ValueError, match=f"torus side must be positive and "
+                                         f"finite, got {s}"):
+        geo.Torus(s)
+
+
 def test_torus_distance_symmetry_and_triangle():
     t = geo.Torus(7.0)
     rng = np.random.default_rng(0)
@@ -447,35 +457,6 @@ def test_lattice_lookup_matches_dense_grid(m, density, seed):
     assert (lat.lookup(*np.indices((m, m))) == grid).all()
     i, j = rng.integers(-3 * m, 3 * m, size=(2, 500))
     assert (lat.lookup(i, j) == grid[i % m, j % m]).all()
-
-
-def test_tiled_block_matches_the_tiled_dense_grid():
-    """The band reader equals the 2 x 2 tiled dense grid on 300 seeded
-    cases: m from 1 to 30, any start row i0 < m and row count up to
-    2m - i0, and increasing column lists drawn from [0, 2m), most of
-    them crossing m, some empty, some every column.  `band` lists the
-    same rows' occupied nodes, row-major."""
-    rng = np.random.default_rng(39)
-    crossing = 0
-    for _ in range(300):
-        m = int(rng.integers(1, 31))
-        occupied = rng.random((m, m)) < rng.choice([0.0, 0.05, 0.3, 1.0])
-        nodes = np.argwhere(occupied)[rng.permutation(int(occupied.sum()))]
-        lat = geo.quantize(PointCloud(nodes * 0.5, m * 0.5), 0.5)
-        tiled = np.tile(oracles.dense_grid(lat), (2, 2))
-        i0 = int(rng.integers(m))
-        rows = int(rng.integers(1, 2 * m - i0 + 1))
-        share = rng.choice([0.0, 0.3, 0.8, 1.0])
-        cols = np.flatnonzero(rng.random(2 * m) < share)
-        crossing += bool(len(cols)) and cols[0] < m <= cols[-1]
-        block = lat.tiled_block(i0, rows, cols)
-        assert block.dtype == np.int32
-        assert block.tolist() == tiled[i0:i0 + rows][:, cols].tolist()
-        a, b = np.nonzero(tiled[i0:i0 + rows, :m] >= 0)
-        got = lat.band(i0, rows)
-        assert [x.tolist() for x in got] == [
-            a.tolist(), b.tolist(), tiled[i0 + a, b].tolist()]
-    assert crossing > 100
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.5, math.nan, math.inf])

@@ -190,6 +190,25 @@ def test_parse_config_refuses_a_plant_count_below_one(line, message):
         "theta = 0.2", "theta = 0.2, 0.05\nthreshold = 0.1")).threshold == 0.1
 
 
+@pytest.mark.parametrize("edits, message", [
+    ({"theta": "nan"}, "theta must be finite and nonnegative, got nan"),
+    ({"theta": "0.2, -0.1"}, "theta must be finite and nonnegative, got -0.1"),
+    ({"eta": "1", "beta": "0.5"},
+     r"eta = 1.0, beta = 0.5, d = 2: eta\*beta\^2 = 0.25 must exceed d = 2"),
+    ({"d": "0"}, r"d = 0: eta, beta must be positive and d >= 1"),
+    ({"eta": "nan"}, r"eta = nan, beta = .*, d = 2: eta must be finite, got nan"),
+], ids=["theta_nan", "theta_negative", "no_entropy", "d_0", "eta_nan"])
+def test_config_refuses_a_family_no_point_can_run(edits, message):
+    """Each of these configs was once accepted; every point was then
+    skipped and the run ended with no record.  The family is checked by
+    `bounds.check_family` and theta by `FamilyParams.check_theta`, the
+    rules each point applies, naming the key and the value."""
+    lines = [f"{key} = {edits[key]}" if (key := ln.split("=")[0].strip()) in edits
+             else ln for ln in tuned_config().splitlines()]
+    with pytest.raises(ValueError, match=message):
+        harness.parse_config("\n".join(lines))
+
+
 def test_config_refuses_a_w_below_the_pitch_at_every_point():
     """`w = 0.03` under eps 0.06 once skipped every point ("w must be at
     least eps") and returned no record; it is refused with the smallest

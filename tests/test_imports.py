@@ -1,7 +1,7 @@
 """Static checks: every name a geoggm module imports is referenced in it,
 every parameter of a geoggm function is referenced in its body, and every
-private module-level name is read somewhere in `src/` outside its own
-definition.  One check runs: importing geoggm leaves `scipy.spatial`
+private name, defined at any depth, is read somewhere in `src/` outside
+its own definition.  One check runs: importing geoggm leaves `scipy.spatial`
 unloaded.
 
 No linter ships with the project, so this walks each module's syntax tree
@@ -89,10 +89,31 @@ def test_no_unused_parameters(path):
     assert unused_parameters(path.read_text()) == []
 
 
+def private_definitions(tree):
+    """(name, statement) for each name with one leading underscore that a
+    statement at any depth defines: a function, method or class, or an
+    assigned name or attribute (`_LIMIT = 3`, `self._cache = {}`)."""
+    for stmt in ast.walk(tree):
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target])
+            names = [n.id if isinstance(n, ast.Name) else n.attr
+                     for t in targets for n in ast.walk(t)
+                     if isinstance(n, (ast.Name, ast.Attribute))
+                     and isinstance(n.ctx, ast.Store)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__") and name != "_":
+                yield name, stmt
+
+
 def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
-    """`module.name` for each module-level name with one leading underscore
-    (a function, class or assigned name) that no code outside its own
-    definition reads, in any of the `sources` (module name to text)."""
+    """`module.name` for each private name (one leading underscore, not
+    `_` alone) defined at any depth that no code outside its own defining
+    statement reads, in any of the `sources` (module name to text)."""
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
     reads: dict[str, set[int]] = {}  # name -> ids of the nodes reading it
     for tree in trees.values():
@@ -101,23 +122,12 @@ def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
                 reads.setdefault(n.id, set()).add(id(n))
             elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
                 reads.setdefault(n.attr, set()).add(id(n))
-    found = []
+    found = set()
     for mod, tree in trees.items():
-        for stmt in tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                names = [stmt.name]
-            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                targets = (stmt.targets if isinstance(stmt, ast.Assign)
-                           else [stmt.target])
-                names = [n.id for t in targets for n in ast.walk(t)
-                         if isinstance(n, ast.Name)]
-            else:
-                continue
+        for name, stmt in private_definitions(tree):
             inside = {id(n) for n in ast.walk(stmt)}
-            found += [f"{mod}.{name}" for name in names
-                      if name.startswith("_") and not name.startswith("__")
-                      and not reads.get(name, set()) - inside]
+            if not reads.get(name, set()) - inside:
+                found.add(f"{mod}.{name}")
     return sorted(found)
 
 
@@ -132,13 +142,24 @@ def test_unreferenced_private_names_checker():
             "def _loop(n):\n"
             "    return _loop(n - 1) if n else 0\n"
             "class _Box:\n"
-            "    pass\n"
+            "    _size: int = 1\n"
+            "    _unread: int = 2\n"
+            "    def __init__(self):\n"
+            "        self._cache, self._stale = {}, None\n"
+            "        _, _tmp = self._grow(), 0\n"
+            "    def _grow(self):\n"
+            "        def _inner():\n"
+            "            return self._cache\n"
+            "        def _orphan():\n"
+            "            return 0\n"
+            "        return _inner() or self._size\n"
             "def f():\n"
             "    return _helper(_LIMIT)\n"
         ),
         "b": "from . import a\nx = a._Box()\n",
     }
-    assert unreferenced_private_names(sources) == ["a._loop", "a._spare"]
+    assert unreferenced_private_names(sources) == [
+        "a._loop", "a._orphan", "a._spare", "a._stale", "a._tmp", "a._unread"]
 
 
 def test_no_unreferenced_private_names():

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from geoggm import gmrf, harness
 from geoggm import graphgen as gg
@@ -755,6 +755,30 @@ def test_candidate_squares_none_on_empty_region():
     assert list(sel._candidate_squares(lat, 5, 6, np.zeros(1, bool))) == []
 
 
+def test_tiled_corner_matches_the_tiled_dense_grid():
+    """The scan's one list of tiled vertices equals the M x M corner of
+    the 2 x 2 tiled dense grid, read row-major, on 300 seeded cases:
+    occupancy 0, 0.05, 0.3 or 1, m from 1 to 30 and K from 1 to m, so
+    M = m + K - 1 runs from m to 2m - 1, and most cases put copies past
+    the seam in rows and in columns."""
+    rng = np.random.default_rng(41)
+    crossing = 0
+    for _ in range(300):
+        m = int(rng.integers(1, 31))
+        occupied = rng.random((m, m)) < rng.choice([0.0, 0.05, 0.3, 1.0])
+        nodes = np.argwhere(occupied)[rng.permutation(int(occupied.sum()))]
+        lat = quantize(_Cloud(nodes, m), 1.0)
+        M = m + int(rng.integers(1, m + 1)) - 1
+        tiled = np.tile(oracles.dense_grid(lat), (2, 2))[:M, :M].ravel()
+        codes, vertices = sel._tiled_corner(lat, M)
+        assert codes.tolist() == np.flatnonzero(tiled >= 0).tolist()
+        assert vertices.tolist() == tiled[tiled >= 0].tolist()
+        crossing += bool((codes // M >= m).any() and (codes % M >= m).any())
+    assert crossing > 100
+    empty = quantize(_Cloud(np.zeros((0, 2)), 4), 1.0)
+    assert [x.tolist() for x in sel._tiled_corner(empty, 7)] == [[], []]
+
+
 def _random_lattices(seed, count):
     rng = np.random.default_rng(seed)
     for _ in range(count):
@@ -1417,7 +1441,12 @@ def pair_rows(draw):
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(pair_rows())
+@example((np.array([], dtype=np.int64), np.array([]), np.array([], dtype=bool)))
+@example((np.array([7, 2, 9]), np.array([0.5, 0.0, 2.0]),
+          np.array([True, False, True])))
 def test_resolve_pairs_matches_dict_loop(rows):
+    """One grouping path resolves every input: the two explicit examples
+    are no row at all and one row per code."""
     codes, conflicting = sel._resolve_pairs(*rows)
     want_codes, want_conflicting = oracles.dict_resolve_pairs(*rows)
     assert codes.tolist() == want_codes
